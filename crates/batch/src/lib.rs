@@ -10,17 +10,16 @@
 //! * [`BatchScheduler`] — runs `syevd` / `tridiagonalize` over a slice of
 //!   problems on a pool of worker threads, handing out work through an
 //!   atomic index queue,
-//! * [`WorkspaceArena`] — a per-worker [`tridiag_core::WorkspacePool`]
-//!   that caches reduction/backtransform scratch buffers across problems,
-//!   keyed by [`ShapeClass`] `(n, b, k)`, with hit/miss counters mirrored
-//!   into `tg-trace`,
+//! * [`ClassPool`] — each worker's [`tridiag_core::CachingPool`], kept
+//!   warm across consecutive problems of one [`ShapeClass`] `(n, b, k)`
+//!   and scrubbed when the class changes,
 //! * [`BatchResult`] / [`BatchStats`] — per-problem outputs in input
-//!   order plus scheduling and arena statistics.
+//!   order plus scheduling and pool statistics.
 //!
 //! The headline contract is **per-problem determinism**: every batched
 //! result is bitwise-identical to the single-problem `syevd`/
 //! `tridiagonalize` output, independent of worker count and scheduling
-//! order. See `docs/BATCHING.md` for how the arena's zero-fill contract
+//! order. See `docs/BATCHING.md` for how the pool's zero-fill contract
 //! makes that hold.
 //!
 //! ```
@@ -35,10 +34,10 @@
 //! assert!(batch.stats.arena.hit_rate() > 0.0);
 //! ```
 
-pub mod arena;
 pub mod scheduler;
+pub mod shape;
 pub mod threads;
 
-pub use arena::{ArenaStats, ShapeClass, WorkspaceArena, WorkspaceLease};
 pub use scheduler::{BatchResult, BatchScheduler, BatchStats, CancelToken};
+pub use shape::{ClassPool, ShapeClass};
 pub use threads::worker_threads;

@@ -3,18 +3,20 @@
 //! The scheduler owns nothing between calls: each call spawns `workers`
 //! scoped threads, hands out problem indices through one atomic counter
 //! (dynamic work stealing — cheap and fair for uneven problem times), and
-//! gives every worker its own [`WorkspaceArena`]. Results land in
-//! per-problem slots, so output order always matches input order no matter
-//! which worker ran what.
+//! gives every worker its own [`ClassPool`] (a
+//! [`tridiag_core::CachingPool`] scrubbed whenever the [`ShapeClass`]
+//! changes between the worker's consecutive problems). Results land in
+//! per-problem slots, so output order always matches input order no
+//! matter which worker ran what.
 //!
 //! # Determinism contract
 //!
 //! Every problem is computed *exactly* as the single-problem path computes
 //! it: same kernels, same operation order, with scratch matrices that the
-//! arena guarantees are bitwise-zero on acquisition (see
+//! pool guarantees are bitwise-zero on acquisition (see
 //! [`tridiag_core::workspace`]). A problem's result therefore depends only
 //! on its own input — never on which worker picked it up, how many workers
-//! there are, or what ran before it on the same arena. This is asserted
+//! there are, or what ran before it on the same pool. This is asserted
 //! bitwise by the tests here and in `tests/batching.rs`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,9 +25,9 @@ use std::time::{Duration, Instant};
 
 use tg_eigen::{syevd_ws, EigenError, Evd, EvdMethod};
 use tg_matrix::Mat;
-use tridiag_core::{tridiagonalize_ws, Method, TridiagResult};
+use tridiag_core::{tridiagonalize_ws, Method, PoolStats, TridiagResult};
 
-use crate::arena::{ArenaStats, ShapeClass, WorkspaceArena};
+use crate::shape::{ClassPool, ShapeClass};
 
 /// Execution statistics for one batch call.
 #[derive(Clone, Copy, Debug)]
@@ -37,8 +39,9 @@ pub struct BatchStats {
     pub workers: usize,
     /// Wall-clock time for the whole batch.
     pub wall: Duration,
-    /// Workspace-arena hit/miss counts summed over all workers.
-    pub arena: ArenaStats,
+    /// Workspace-pool hit/miss counts summed over all workers — equal to
+    /// the `ArenaHit`/`ArenaMiss` the batch adds to a trace session.
+    pub arena: PoolStats,
 }
 
 impl BatchStats {
@@ -59,7 +62,7 @@ impl BatchStats {
 pub struct BatchResult<T> {
     /// `results[i]` is the output for `problems[i]`.
     pub results: Vec<T>,
-    /// Scheduling / arena statistics.
+    /// Scheduling / pool statistics.
     pub stats: BatchStats,
 }
 
@@ -126,10 +129,9 @@ impl BatchScheduler {
         method: &EvdMethod,
         want_vectors: bool,
     ) -> Result<BatchResult<Evd>, EigenError> {
-        let (raw, stats) = self.run(problems.len(), None, |i, arena| {
-            arena.begin_problem(ShapeClass::for_evd(problems[i].nrows(), method));
-            let mut a = problems[i].clone();
-            syevd_ws(&mut a, method, want_vectors, arena)
+        let (raw, stats) = self.run(problems.len(), None, |i, pool| {
+            let pool = pool.for_class(ShapeClass::for_evd(problems[i].nrows(), method));
+            syevd_ws(&mut problems[i].clone(), method, want_vectors, pool)
         });
         let results = raw
             .into_iter()
@@ -151,10 +153,9 @@ impl BatchScheduler {
         want_vectors: bool,
         token: &CancelToken,
     ) -> Result<BatchResult<Option<Evd>>, EigenError> {
-        let (raw, stats) = self.run(problems.len(), Some(token), |i, arena| {
-            arena.begin_problem(ShapeClass::for_evd(problems[i].nrows(), method));
-            let mut a = problems[i].clone();
-            syevd_ws(&mut a, method, want_vectors, arena)
+        let (raw, stats) = self.run(problems.len(), Some(token), |i, pool| {
+            let pool = pool.for_class(ShapeClass::for_evd(problems[i].nrows(), method));
+            syevd_ws(&mut problems[i].clone(), method, want_vectors, pool)
         });
         let results = raw
             .into_iter()
@@ -165,10 +166,9 @@ impl BatchScheduler {
 
     /// Tridiagonalizes every matrix in `problems` (inputs preserved).
     pub fn tridiagonalize(&self, problems: &[Mat], method: &Method) -> BatchResult<TridiagResult> {
-        let (raw, stats) = self.run(problems.len(), None, |i, arena| {
-            arena.begin_problem(ShapeClass::for_method(problems[i].nrows(), method));
-            let mut a = problems[i].clone();
-            tridiagonalize_ws(&mut a, method, arena)
+        let (raw, stats) = self.run(problems.len(), None, |i, pool| {
+            let pool = pool.for_class(ShapeClass::for_method(problems[i].nrows(), method));
+            tridiagonalize_ws(&mut problems[i].clone(), method, pool)
         });
         let results = raw
             .into_iter()
@@ -178,10 +178,11 @@ impl BatchScheduler {
     }
 
     /// Generic work loop: pulls indices `0..count` off a shared atomic
-    /// queue, runs `f(i, arena)` under a `batch.problem` span, and returns
-    /// results in index order plus merged stats. With a `token`, workers
-    /// stop claiming indices once it is cancelled and the unclaimed slots
-    /// come back `None`; without one every slot is `Some`.
+    /// queue, runs `f(i, pool)` under a `batch.problem` span with the
+    /// worker's [`ClassPool`], and returns results in index order plus
+    /// merged stats. With a `token`, workers stop claiming indices once it
+    /// is cancelled and the unclaimed slots come back `None`; without one
+    /// every slot is `Some`.
     fn run<T, F>(
         &self,
         count: usize,
@@ -190,13 +191,13 @@ impl BatchScheduler {
     ) -> (Vec<Option<T>>, BatchStats)
     where
         T: Send,
-        F: Fn(usize, &mut WorkspaceArena) -> T + Sync,
+        F: Fn(usize, &mut ClassPool) -> T + Sync,
     {
         let start = Instant::now();
         let workers = self.workers.min(count.max(1));
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let merged = Mutex::new(ArenaStats::default());
+        let merged = Mutex::new(PoolStats::default());
         let region = tg_trace::RegionId::fresh();
         let _rspan = tg_trace::span_region(
             "parallel.batch",
@@ -223,7 +224,7 @@ impl BatchScheduler {
                         Some(("w", w as u64)),
                         region,
                     );
-                    let mut arena = WorkspaceArena::new();
+                    let mut pool = ClassPool::default();
                     loop {
                         if token.is_some_and(CancelToken::is_cancelled) {
                             break;
@@ -239,11 +240,11 @@ impl BatchScheduler {
                                 Some(("problem", i as u64)),
                                 region,
                             );
-                            f(i, &mut arena)
+                            f(i, &mut pool)
                         };
                         *slots[i].lock().unwrap() = Some(out);
                     }
-                    merged.lock().unwrap().merge(&arena.stats());
+                    merged.lock().unwrap().merge(&pool.stats());
                 });
             }
         });
@@ -261,8 +262,20 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, OnceLock};
     use tg_eigen::{syevd, syevd_batched};
     use tg_matrix::gen;
+    use tridiag_core::CachingPool;
+
+    /// Trace sessions are process-global: while one test traces, solver
+    /// work from sibling tests running in parallel would land in its
+    /// counters. Every test here that runs a solver holds this lock.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        LOCK.get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
 
     fn problems(count: usize, n: usize) -> Vec<Mat> {
         (0..count)
@@ -272,6 +285,7 @@ mod tests {
 
     #[test]
     fn evd_bitwise_identical_to_single_problem_path() {
+        let _g = serial();
         let n = 24;
         let probs = problems(6, n);
         let method = EvdMethod::proposed_default(n);
@@ -289,6 +303,7 @@ mod tests {
 
     #[test]
     fn evd_worker_count_does_not_change_results() {
+        let _g = serial();
         let n = 20;
         let probs = problems(5, n);
         let method = EvdMethod::proposed_default(n);
@@ -304,6 +319,7 @@ mod tests {
 
     #[test]
     fn tridiag_batch_matches_single() {
+        let _g = serial();
         let n = 28;
         let probs = problems(4, n);
         let method = Method::paper_default(n);
@@ -323,6 +339,7 @@ mod tests {
 
     #[test]
     fn arena_stats_match_trace_counters() {
+        let _g = serial();
         let n = 24;
         let probs = problems(4, n);
         let method = EvdMethod::proposed_default(n);
@@ -346,6 +363,7 @@ mod tests {
 
     #[test]
     fn uniform_batch_hit_rate_exceeds_90_percent() {
+        let _g = serial();
         // One worker, 16 identical-shape problems: after the first (all-
         // miss) problem every workspace request is served from the cache.
         let n = 32;
@@ -361,6 +379,30 @@ mod tests {
             "uniform-shape batch should be >90% hits, got {:.1}% ({stats:?})",
             100.0 * stats.hit_rate()
         );
+    }
+
+    #[test]
+    fn class_change_scrubs_the_worker_pool() {
+        let _g = serial();
+        // One worker, classes 16 → 24 → 16: every problem must start from
+        // a cold pool, so the batch counts equal three cold single solves.
+        let method = EvdMethod::proposed_default(16);
+        let probs = vec![
+            gen::random_symmetric(16, 1),
+            gen::random_symmetric(24, 2),
+            gen::random_symmetric(16, 3),
+        ];
+        let mut cold = PoolStats::default();
+        for a in &probs {
+            let mut pool = CachingPool::new();
+            syevd_ws(&mut a.clone(), &method, false, &mut pool).unwrap();
+            cold.merge(&pool.stats());
+        }
+        let batch = BatchScheduler::new(1)
+            .syevd(&probs, &method, false)
+            .unwrap();
+        let got = batch.stats.arena;
+        assert_eq!((got.hits, got.misses), (cold.hits, cold.misses));
     }
 
     #[test]
@@ -380,6 +422,7 @@ mod tests {
 
     #[test]
     fn cancellation_never_changes_finished_results() {
+        let _g = serial();
         let n = 20;
         let probs = problems(6, n);
         let method = EvdMethod::proposed_default(n);

@@ -35,7 +35,7 @@
 //!                           # back transformation: conventional vs pooled
 //!                           # panel-parallel -> BENCH_PR9.json; --ci gates
 //!                           # a 0.7x parallel-vs-serial floor and >=90%
-//!                           # panel-pool steady-state hit rate
+//!                           # workspace-pool steady-state hit rate
 //! repro stage1_sweep [--ci] [--reps k] [--out path]
 //!                           # stage-1 DBBR: serial deferred update vs
 //!                           # depth-1 look-ahead -> BENCH_PR10.json; --ci
@@ -532,9 +532,9 @@ fn gemm_sweep(args: &[String]) {
 /// `--ci` runs a reduced grid and enforces two gates instead: (a)
 /// blocked-parallel must stay within 0.7x of blocked-serial throughput
 /// (same arithmetic on a one-core runner — the floor catches a broken
-/// panel pool or a respawn storm, not a flaky absolute number), and (b)
-/// the panel pools must reach a >= 90% steady-state hit rate (the
-/// allocation-free hot path). The serial-vs-parallel *bitwise* assert runs
+/// panel fan-out or a respawn storm, not a flaky absolute number), and (b)
+/// the caller's `CachingPool` must reach a >= 90% steady-state hit rate
+/// (the allocation-free hot path). The serial-vs-parallel *bitwise* assert runs
 /// inside the sweep itself on every shape.
 fn backtransform_sweep(args: &[String]) {
     let ci = args.iter().any(|a| a == "--ci");
@@ -561,7 +561,10 @@ fn backtransform_sweep(args: &[String]) {
             &measured::to_rows(&ms)
         )
     );
-    println!("panel-pool steady-state hit rate: {:.1}%", 100.0 * hit_rate);
+    println!(
+        "workspace-pool steady-state hit rate: {:.1}%",
+        100.0 * hit_rate
+    );
 
     if ci {
         for &(n, b, k) in shapes {
@@ -587,7 +590,7 @@ fn backtransform_sweep(args: &[String]) {
         }
         if hit_rate < 0.9 {
             eprintln!(
-                "backtransform_sweep: panel-pool steady-state hit rate {:.1}% < 90% — \
+                "backtransform_sweep: workspace-pool steady-state hit rate {:.1}% < 90% — \
                  the hot path is allocating",
                 100.0 * hit_rate
             );

@@ -352,23 +352,24 @@ pub fn backtransform_compare(n: usize, b: usize) -> Vec<Measurement> {
 ///
 /// * the parallel result is **bitwise identical** to the serial one (the
 ///   fixed-width-panel determinism contract of `apply_blocks_panels`);
-/// * the panel pools reach steady state: hit rate is measured over the
-///   timed reps only (one warmup run per variant precedes them), so the
-///   returned rate sits near 1.0 when the hot path stops allocating.
+/// * the caller's [`CachingPool`](tridiag_core::CachingPool) reaches
+///   steady state: the hit rate covers every buffer the apply draws (merge
+///   scratch, merged blocks, panel scratch) over the timed reps only (one
+///   warmup run per variant precedes them), so the returned rate sits near
+///   1.0 when the hot path stops allocating.
 pub fn backtransform_sweep_reps(
     shapes: &[(usize, usize, usize)],
     workers: usize,
     reps: usize,
 ) -> (Vec<Measurement>, f64) {
     use tridiag_core::backtransform::{apply_q1, apply_q1_blocked_ws};
-    use tridiag_core::{AllocPool, PanelPools};
+    use tridiag_core::CachingPool;
 
     let mut out = Vec::new();
     // Pools persist across shapes and reps — the steady-state claim is
     // about a long-lived driver, not a fresh pool per call.
-    let mut serial_pools = PanelPools::new();
-    let mut par_pools = PanelPools::new();
-    let mut pool = AllocPool;
+    let mut serial_pool = CachingPool::new();
+    let mut par_pool = CachingPool::new();
     let (mut steady_hits, mut steady_total) = (0u64, 0u64);
     for (si, &(n, b, target_k)) in shapes.iter().enumerate() {
         let mut a = gen::random_symmetric(n, 2900 + si as u64);
@@ -401,32 +402,18 @@ pub fn backtransform_sweep_reps(
             gflops: flops / t / 1e9,
         });
 
-        // Warm both pool sets so the timed reps see steady state.
+        // Warm both pools so the timed reps see steady state.
         {
             let mut c = c0.clone();
-            apply_q1_blocked_ws(
-                &red.factors,
-                &mut c,
-                target_k,
-                &mut pool,
-                1,
-                &mut serial_pools,
-            );
+            apply_q1_blocked_ws(&red.factors, &mut c, target_k, &mut serial_pool, 1);
             let mut c = c0.clone();
-            apply_q1_blocked_ws(
-                &red.factors,
-                &mut c,
-                target_k,
-                &mut pool,
-                workers,
-                &mut par_pools,
-            );
+            apply_q1_blocked_ws(&red.factors, &mut c, target_k, &mut par_pool, workers);
         }
-        let h0 = serial_pools.hits() + par_pools.hits();
-        let m0 = serial_pools.misses() + par_pools.misses();
+        let h0 = serial_pool.hits() + par_pool.hits();
+        let m0 = serial_pool.misses() + par_pool.misses();
 
         let (t, serial_c) = median_apply(&mut |c| {
-            apply_q1_blocked_ws(&red.factors, c, target_k, &mut pool, 1, &mut serial_pools)
+            apply_q1_blocked_ws(&red.factors, c, target_k, &mut serial_pool, 1)
         });
         out.push(Measurement {
             label: format!("blocked-serial(b={b},k={target_k})"),
@@ -436,14 +423,7 @@ pub fn backtransform_sweep_reps(
         });
 
         let (t, par_c) = median_apply(&mut |c| {
-            apply_q1_blocked_ws(
-                &red.factors,
-                c,
-                target_k,
-                &mut pool,
-                workers,
-                &mut par_pools,
-            )
+            apply_q1_blocked_ws(&red.factors, c, target_k, &mut par_pool, workers)
         });
         out.push(Measurement {
             label: format!("blocked-parallel(t={workers},b={b},k={target_k})"),
@@ -461,8 +441,8 @@ pub fn backtransform_sweep_reps(
                 );
             }
         }
-        let dh = serial_pools.hits() + par_pools.hits() - h0;
-        let dm = serial_pools.misses() + par_pools.misses() - m0;
+        let dh = serial_pool.hits() + par_pool.hits() - h0;
+        let dm = serial_pool.misses() + par_pool.misses() - m0;
         steady_hits += dh;
         steady_total += dh + dm;
     }
@@ -622,9 +602,9 @@ pub fn verification_suite(n: usize) -> Vec<Check> {
 }
 
 /// Measured batched EVD: the serial reference loop
-/// ([`tg_eigen::syevd_batched`]) vs the `tg-batch` scheduler with cached
-/// per-worker workspace arenas. Returns the measurements plus the arena
-/// hit rate the scheduler achieved.
+/// ([`tg_eigen::syevd_batched`]) vs the `tg-batch` scheduler with one
+/// caching workspace pool per worker. Returns the measurements plus the
+/// pool hit rate the scheduler achieved.
 ///
 /// On a single-core host the scheduler's win is limited to allocation
 /// reuse; the paper-scale overlap win is composed by

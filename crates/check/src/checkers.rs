@@ -27,7 +27,7 @@ pub enum StageData<'a> {
         oracle: &'a [f64],
         gershgorin: (f64, f64),
     },
-    /// A workspace buffer just handed out by a pool/arena.
+    /// A workspace buffer just handed out by a pool.
     Workspace { buf: &'a [f64] },
 }
 
@@ -268,7 +268,7 @@ impl StageChecker for SpectrumChecker {
 
 /// Workspace-pool contract: an acquired buffer is bitwise zero. Catches
 /// both stale reuse and leaked debug NaN-poison (see
-/// `tg_batch::WorkspaceArena`).
+/// `tridiag_core::CachingPool`).
 pub struct WorkspaceZeroChecker;
 
 impl StageChecker for WorkspaceZeroChecker {

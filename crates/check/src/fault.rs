@@ -336,6 +336,7 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_and_covers_all_sites() {
+        let _g = crate::test_serial();
         let a = FaultPlan::campaign(101);
         let b = FaultPlan::campaign(101);
         let c = FaultPlan::campaign(202);
@@ -357,6 +358,7 @@ mod tests {
 
     #[test]
     fn inject_fires_once_and_is_reported() {
+        let _g = crate::test_serial();
         let cfg =
             CheckConfig::strict().with_faults(FaultPlan::single("stage1.band", FaultKind::Nan, 5));
         let session = CheckSession::begin(cfg);
@@ -373,6 +375,7 @@ mod tests {
 
     #[test]
     fn inject_without_session_is_inert() {
+        let _g = crate::test_serial();
         let mut buf = vec![1.0; 4];
         assert!(inject("stage1.band", &mut buf).is_none());
         assert!(!skip_zero("arena.acquire"));
@@ -381,6 +384,7 @@ mod tests {
 
     #[test]
     fn sign_flip_scans_for_significant_victim() {
+        let _g = crate::test_serial();
         let cfg =
             CheckConfig::strict().with_faults(FaultPlan::single("bc.tri", FaultKind::SignFlip, 0));
         let session = CheckSession::begin(cfg);
@@ -393,6 +397,7 @@ mod tests {
 
     #[test]
     fn band_injection_lands_in_valid_slot() {
+        let _g = crate::test_serial();
         let cfg = CheckConfig::strict().with_faults(FaultPlan::single(
             "stage1.band",
             FaultKind::Inf,
@@ -412,6 +417,7 @@ mod tests {
 
     #[test]
     fn skip_zero_only_matches_skip_kind() {
+        let _g = crate::test_serial();
         let cfg = CheckConfig::strict().with_faults(FaultPlan::single(
             "arena.acquire",
             FaultKind::Nan,
@@ -435,6 +441,7 @@ mod tests {
 
     #[test]
     fn fired_count_is_per_thread_and_monotonic() {
+        let _g = crate::test_serial();
         let cfg = CheckConfig::strict().with_faults(FaultPlan::single("bc.tri", FaultKind::Nan, 0));
         let session = CheckSession::begin(cfg);
         let before = fired_on_this_thread();
@@ -459,6 +466,7 @@ mod tests {
 
     #[test]
     fn from_env_parses_seed() {
+        let _g = crate::test_serial();
         // avoid mutating process env in parallel tests: only sanity-check
         // the unset/garbage path plus direct campaign equivalence
         if std::env::var("TG_FAULT_SEED").is_err() {

@@ -398,12 +398,25 @@ pub fn workspace_clean(buf: &[f64]) {
     run_stage(&StageData::Workspace { buf });
 }
 
+/// Check sessions are process-global: a test that asserts there is no
+/// session, or injects outside one, must not overlap a sibling test's
+/// session. Every test in this crate that opens a session or relies on
+/// there being none holds this lock.
+#[cfg(test)]
+fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_hooks_are_inert() {
+        let _g = test_serial();
         // no session: hooks must do nothing and record nothing
         assert!(!enabled());
         stage_tridiag(&Tridiagonal::new(vec![f64::NAN], vec![]));
@@ -415,6 +428,7 @@ mod tests {
 
     #[test]
     fn session_records_pass_and_fail() {
+        let _g = test_serial();
         let session = CheckSession::begin(CheckConfig::strict());
         stage_tridiag(&Tridiagonal::new(vec![1.0, 2.0], vec![0.5]));
         stage_tridiag(&Tridiagonal::new(vec![1.0, f64::NAN], vec![0.5]));
@@ -431,6 +445,7 @@ mod tests {
 
     #[test]
     fn check_counters_mirror_into_trace() {
+        let _g = test_serial();
         let trace_session = tg_trace::TraceSession::begin();
         let session = CheckSession::begin(CheckConfig::strict());
         stage_tridiag(&Tridiagonal::new(vec![1.0], vec![]));
@@ -443,6 +458,7 @@ mod tests {
 
     #[test]
     fn panic_on_violation_panics_at_call_site() {
+        let _g = test_serial();
         let result = std::panic::catch_unwind(|| {
             let cfg = CheckConfig {
                 panic_on_violation: true,
@@ -461,6 +477,7 @@ mod tests {
 
     #[test]
     fn deep_flag_tracks_session() {
+        let _g = test_serial();
         assert!(!deep_enabled());
         let s = CheckSession::begin(CheckConfig::fast());
         assert!(enabled());

@@ -7,14 +7,14 @@
 //! * [`apply_q1`] — conventional `ormqr` ordering: one factor at a time,
 //!   every GEMM has inner dimension `b` (slow on wide GPUs — Figure 14's
 //!   baseline).
-//! * [`apply_q1_blocked`] — the Figure-13 scheme: factors are merged
-//!   pairwise (batched) into blocks of width `≥ target_k`, then applied;
-//!   the GEMMs become `n × k`-sized at the cost of extra flops for the
-//!   merged `W`s.
-//! * [`apply_q1_blocked_ws`] — the production path: the merge runs **once**
-//!   with pool-backed scratch ([`merge_q1_blocked_ws`]), then the merged
-//!   read-only blocks are applied to fixed-width *column panels* of `C` on
-//!   a scoped worker pool ([`apply_blocks_panels`]).
+//! * [`apply_q1_blocked_ws`] — the Figure-13 scheme and the production
+//!   path: factors are merged pairwise (batched) **once** into blocks of
+//!   width `≥ target_k` with pool-backed scratch ([`merge_q1_blocked_ws`]),
+//!   then the merged read-only blocks are applied to fixed-width *column
+//!   panels* of `C` on a scoped worker pool ([`apply_blocks_panels`]). The
+//!   GEMMs become `n × k`-sized at the cost of extra flops for the merged
+//!   `W`s. [`apply_q1_blocked`] is the same path on one worker with
+//!   [`AllocPool`].
 //!
 //! # Why panels split columns, never the factor product
 //!
@@ -33,9 +33,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::workspace::{CachingPool, WorkspacePool};
+use crate::workspace::{AllocPool, WorkspacePool};
 use tg_blas::{gemm, gemm_into, Op};
-use tg_householder::wblock::{merge_to_width, merge_to_width_ws, WyPair};
+use tg_householder::wblock::{merge_to_width_ws, WyPair};
 use tg_matrix::{Mat, MatMut};
 
 /// Eigenvector-panel width for the parallel apply. Fixed — deliberately
@@ -80,56 +80,10 @@ fn apply_factor_trans(f: &WyPair, c: &mut MatMut<'_>) {
     );
 }
 
-/// Applies `Q₁` to `C` with the Figure-13 blocked-`W` scheme.
-///
-/// Consecutive factors are grouped until each group holds `target_k / b`
-/// factors; within a group the factors are zero-padded to the group's
-/// leading offset and merged level-by-level with batched GEMMs
-/// ([`merge_to_width`]), then the few wide factors are applied in order.
-pub fn apply_q1_blocked(factors: &[(usize, WyPair)], c: &mut Mat, target_k: usize) {
-    if factors.is_empty() {
-        return;
-    }
-    let b = factors.iter().map(|(_, f)| f.width()).max().unwrap_or(1);
-    let per_group = (target_k / b.max(1)).max(1);
-
-    // Build merged groups (in product order).
-    let mut merged: Vec<(usize, WyPair)> = Vec::new();
-    for chunk in factors.chunks(per_group) {
-        let off0 = chunk[0].0; // smallest offset (offsets ascend)
-        let rows = chunk.iter().map(|(o, f)| f.w.nrows() + o).max().unwrap() - off0;
-        let padded: Vec<WyPair> = chunk
-            .iter()
-            .map(|(o, f)| pad_top(f, o - off0, rows))
-            .collect();
-        let wide = merge_to_width(padded, target_k);
-        for f in wide {
-            merged.push((off0, f));
-        }
-    }
-    // Q₁ C: apply merged factors in reverse product order.
-    for (off, f) in merged.iter().rev() {
-        let mut sub = c.view_mut(*off, 0, f.w.nrows(), c.ncols());
-        f.apply_left(&mut sub);
-    }
-}
-
 /// Zero-pads a factor with `pad` rows on top (embedding it in a larger
-/// identity) so factors with different supports can be merged.
-fn pad_top(f: &WyPair, pad: usize, rows: usize) -> WyPair {
-    let k = f.width();
-    let m = f.w.nrows();
-    assert!(pad + m <= rows);
-    let mut w = Mat::zeros(rows, k);
-    w.view_mut(pad, 0, m, k).copy_from(&f.w.as_ref());
-    let mut y = Mat::zeros(rows, k);
-    y.view_mut(pad, 0, m, k).copy_from(&f.y.as_ref());
-    WyPair { w, y }
-}
-
-/// Pool-backed [`pad_top`]: the padded storage is pool-acquired (caller
-/// releases). Bitwise-identical under the zero contract.
-pub fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool) -> WyPair {
+/// identity) so factors with different supports can be merged. The padded
+/// storage is pool-acquired (caller releases).
+fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspacePool) -> WyPair {
     let k = f.width();
     let m = f.w.nrows();
     assert!(pad + m <= rows);
@@ -140,10 +94,13 @@ pub fn pad_top_ws(f: &WyPair, pad: usize, rows: usize, pool: &mut dyn WorkspaceP
     WyPair { w, y }
 }
 
-/// The merge half of [`apply_q1_blocked`], run **once** so the wide blocks
-/// can be shared read-only across all column panels: groups, zero-pads and
-/// merges the factors exactly as the allocating path does, with every
-/// temporary and the merged `W`/`Y` storage drawn from `pool`.
+/// The merge half of [`apply_q1_blocked_ws`], run **once** so the wide
+/// blocks can be shared read-only across all column panels. Consecutive
+/// factors are grouped until each group holds `target_k / b` factors;
+/// within a group the factors are zero-padded to the group's leading
+/// offset and merged level-by-level with batched GEMMs
+/// ([`merge_to_width_ws`]). Every temporary and the merged `W`/`Y` storage
+/// come from `pool`.
 ///
 /// Returns the merged `(offset, factor)` list in product order; every
 /// returned matrix is pool-acquired — release with [`release_blocks`].
@@ -187,67 +144,25 @@ pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut dyn WorkspacePool
     }
 }
 
-/// Per-worker scratch pools for the panel loop, reusable across calls so a
-/// steady-state driver (the bench sweep, a batched EVD) reaches an
-/// allocation-free hot path. Workers never share a pool, so the panel loop
-/// takes no locks on the acquire/release path.
-#[derive(Default)]
-pub struct PanelPools {
-    pools: Vec<CachingPool>,
-}
-
-impl PanelPools {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// At least `workers` pools, growing on demand (existing pools keep
-    /// their caches).
-    fn for_workers(&mut self, workers: usize) -> &mut [CachingPool] {
-        while self.pools.len() < workers {
-            self.pools.push(CachingPool::new());
-        }
-        &mut self.pools[..workers]
-    }
-
-    /// Total cache hits across all worker pools.
-    pub fn hits(&self) -> u64 {
-        self.pools.iter().map(CachingPool::hits).sum()
-    }
-
-    /// Total cache misses (allocations) across all worker pools.
-    pub fn misses(&self) -> u64 {
-        self.pools.iter().map(CachingPool::misses).sum()
-    }
-
-    /// Aggregate hit rate across all worker pools (0 before first use).
-    pub fn hit_rate(&self) -> f64 {
-        let hits: u64 = self.pools.iter().map(CachingPool::hits).sum();
-        let total: u64 = self.pools.iter().map(|p| p.hits() + p.misses()).sum();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-}
-
 /// Applies the ordered block-factor product `F₁F₂⋯F_p` (each entry
 /// `(offset, I − WYᵀ)`) to `C` from the left, partitioned into
 /// [`PANEL_COLS`]-wide column panels drained by `workers` scoped threads.
 ///
 /// The blocks are shared read-only; each panel applies the full product in
-/// reverse order with its worker's private [`CachingPool`] supplying the
-/// `YᵀC` scratch. Panel boundaries are independent of `workers`, so the
+/// reverse order. Each worker owns one `YᵀC` scratch buffer, acquired from
+/// `pool` on the calling thread before the fan-out and released after the
+/// join, sized exactly for the widest block and the widest panel — so the
+/// panel loop itself never touches the pool, takes no lock and never
+/// allocates. Panel boundaries are independent of `workers`, so the
 /// result is bitwise-identical for every worker count (the `workers == 1`
 /// path is the same panels in order on the calling thread). Workers enter
-/// the `tg_blas::threads` nested-fan-out guard so inner GEMMs stay serial
-/// (PR 5 pattern); a single worker keeps intra-kernel parallelism.
+/// the `tg_blas::threads` nested-fan-out guard so inner GEMMs stay serial;
+/// a single worker keeps intra-kernel parallelism.
 pub fn apply_blocks_panels(
     blocks: &[(usize, WyPair)],
     c: &mut Mat,
     workers: usize,
-    panel_pools: &mut PanelPools,
+    pool: &mut dyn WorkspacePool,
 ) {
     let ncols = c.ncols();
     if blocks.is_empty() || ncols == 0 {
@@ -255,7 +170,10 @@ pub fn apply_blocks_panels(
     }
     let n_panels = ncols.div_ceil(PANEL_COLS);
     let workers = workers.max(1).min(n_panels);
-    let pools = panel_pools.for_workers(workers);
+    let kmax = blocks.iter().map(|(_, f)| f.width()).max().unwrap_or(0);
+    let mut scratch: Vec<Mat> = (0..workers)
+        .map(|_| pool.acquire(kmax, PANEL_COLS.min(ncols)))
+        .collect();
 
     // Carve C into disjoint fixed-width column panels.
     let mut panels: Vec<MatMut<'_>> = Vec::with_capacity(n_panels);
@@ -270,10 +188,20 @@ pub fn apply_blocks_panels(
     if workers == 1 {
         for (idx, panel) in panels.iter_mut().enumerate() {
             let _t = tg_trace::span_cat("backtransform.panel", "task", Some(("panel", idx as u64)));
-            apply_blocks_to_panel(blocks, panel, &mut pools[0]);
+            apply_blocks_to_panel(blocks, panel, &mut scratch[0]);
         }
-        return;
+    } else {
+        apply_panels_parallel(blocks, panels, &mut scratch);
     }
+    for x in scratch {
+        pool.release(x);
+    }
+}
+
+/// The `workers > 1` arm of [`apply_blocks_panels`]: one scoped thread per
+/// scratch buffer, draining the panel queue through an atomic cursor.
+fn apply_panels_parallel(blocks: &[(usize, WyPair)], panels: Vec<MatMut<'_>>, scratch: &mut [Mat]) {
+    let n_panels = panels.len();
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<MatMut<'_>>>> =
@@ -286,7 +214,7 @@ pub fn apply_blocks_panels(
         region,
     );
     std::thread::scope(|s| {
-        for (wid, pool) in pools.iter_mut().enumerate() {
+        for (wid, x) in scratch.iter_mut().enumerate() {
             let (next, slots) = (&next, &slots);
             s.spawn(move || {
                 // Parallelism budget is spent across panels: keep the BLAS
@@ -313,7 +241,7 @@ pub fn apply_blocks_panels(
                         Some(("panel", i as u64)),
                         region,
                     );
-                    apply_blocks_to_panel(blocks, &mut panel, pool);
+                    apply_blocks_to_panel(blocks, &mut panel, x);
                 }
             });
         }
@@ -325,39 +253,41 @@ fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One panel's work: the full ordered product, reverse order, pooled
-/// scratch. Row sub-ranges are taken per factor so each `apply_left_ws`
-/// sees exactly the rows the factor acts on.
-fn apply_blocks_to_panel(
-    blocks: &[(usize, WyPair)],
-    panel: &mut MatMut<'_>,
-    pool: &mut CachingPool,
-) {
+/// One panel's work: the full ordered product, reverse order. Row
+/// sub-ranges are taken per factor so each apply sees exactly the rows the
+/// factor acts on; its `YᵀC` scratch is the leading `width × panel width`
+/// view of the worker's buffer (zeroed by the apply before use).
+fn apply_blocks_to_panel(blocks: &[(usize, WyPair)], panel: &mut MatMut<'_>, scratch: &mut Mat) {
     for (off, f) in blocks.iter().rev() {
         let rows = f.w.nrows();
         let (_, below) = panel.rb_mut().split_at_row(*off);
         let (mut sub, _) = below.split_at_row(rows);
-        f.apply_left_ws(&mut sub, pool);
+        let mut x = scratch.view_mut(0, 0, f.width(), sub.ncols());
+        f.apply_left_with(&mut sub, &mut x);
     }
 }
 
-/// The production back transformation: [`merge_q1_blocked_ws`] once, then
-/// the merged blocks applied panel-parallel by [`apply_blocks_panels`].
+/// Applies `Q₁` to `C` with the Figure-13 blocked-`W` scheme:
+/// [`merge_q1_blocked_ws`] once, then the merged blocks applied
+/// panel-parallel by [`apply_blocks_panels`] on `workers` workers.
 ///
-/// Numerically this matches [`apply_q1_blocked`] to merge accuracy (the
-/// merged factors are bitwise-identical; only the apply GEMM shapes
-/// differ), and it is bitwise-identical to *itself* at every `workers`.
+/// Numerically this matches [`apply_q1`] to merge accuracy, and it is
+/// bitwise-identical to *itself* at every `workers` and for every pool.
 pub fn apply_q1_blocked_ws(
     factors: &[(usize, WyPair)],
     c: &mut Mat,
     target_k: usize,
     pool: &mut dyn WorkspacePool,
     workers: usize,
-    panel_pools: &mut PanelPools,
 ) {
     let merged = merge_q1_blocked_ws(factors, target_k, pool);
-    apply_blocks_panels(&merged, c, workers, panel_pools);
+    apply_blocks_panels(&merged, c, workers, pool);
     release_blocks(merged, pool);
+}
+
+/// [`apply_q1_blocked_ws`] on one worker with freshly allocated scratch.
+pub fn apply_q1_blocked(factors: &[(usize, WyPair)], c: &mut Mat, target_k: usize) {
+    apply_q1_blocked_ws(factors, c, target_k, &mut AllocPool, 1);
 }
 
 #[cfg(test)]
@@ -433,39 +363,8 @@ mod tests {
         let mut c = c0.clone();
         apply_q1(&[], &mut c, false);
         apply_q1_blocked(&[], &mut c, 8);
-        apply_q1_blocked_ws(&[], &mut c, 8, &mut AllocPool, 4, &mut PanelPools::new());
+        apply_q1_blocked_ws(&[], &mut c, 8, &mut AllocPool, 4);
         assert_eq!(c, c0);
-    }
-
-    #[test]
-    fn merged_ws_blocks_are_bitwise_identical_to_allocating_merge() {
-        let n = 28;
-        let factors = setup(n, 2, 5);
-        // The allocating path merges inline; replicate its grouping here.
-        let b = factors.iter().map(|(_, f)| f.width()).max().unwrap();
-        for target_k in [4usize, 8] {
-            let per_group = (target_k / b).max(1);
-            let mut expect: Vec<(usize, WyPair)> = Vec::new();
-            for chunk in factors.chunks(per_group) {
-                let off0 = chunk[0].0;
-                let rows = chunk.iter().map(|(o, f)| f.w.nrows() + o).max().unwrap() - off0;
-                let padded: Vec<WyPair> = chunk
-                    .iter()
-                    .map(|(o, f)| pad_top(f, o - off0, rows))
-                    .collect();
-                for f in merge_to_width(padded, target_k) {
-                    expect.push((off0, f));
-                }
-            }
-            let got = merge_q1_blocked_ws(&factors, target_k, &mut AllocPool);
-            assert_eq!(expect.len(), got.len());
-            for ((eo, ef), (go, gf)) in expect.iter().zip(&got) {
-                assert_eq!(eo, go);
-                assert_eq!(ef.w, gf.w, "target_k={target_k}");
-                assert_eq!(ef.y, gf.y, "target_k={target_k}");
-            }
-            release_blocks(got, &mut AllocPool);
-        }
     }
 
     #[test]
@@ -481,14 +380,7 @@ mod tests {
         apply_q1(&factors, &mut reference, false);
 
         let mut serial = c0.clone();
-        apply_q1_blocked_ws(
-            &factors,
-            &mut serial,
-            8,
-            &mut AllocPool,
-            1,
-            &mut PanelPools::new(),
-        );
+        apply_q1_blocked_ws(&factors, &mut serial, 8, &mut AllocPool, 1);
         assert!(
             max_abs_diff(&reference, &serial) < 1e-11,
             "{}",
@@ -497,39 +389,30 @@ mod tests {
 
         for workers in [2usize, 3, 4, 7] {
             let mut par = c0.clone();
-            apply_q1_blocked_ws(
-                &factors,
-                &mut par,
-                8,
-                &mut AllocPool,
-                workers,
-                &mut PanelPools::new(),
-            );
+            apply_q1_blocked_ws(&factors, &mut par, 8, &mut AllocPool, workers);
             assert_eq!(serial, par, "workers = {workers} must be bitwise-identical");
         }
     }
 
     #[test]
-    fn panel_pools_reach_steady_state_hit_rate() {
+    fn caller_pool_reaches_allocation_free_steady_state() {
         let n = 36;
         let factors = setup(n, 3, 7);
         let c0 = gen::random(n, 2 * PANEL_COLS, 70);
-        let mut pools = PanelPools::new();
-        let mut pool = AllocPool;
-        // Single worker: the panel→pool mapping is deterministic, so the
-        // steady-state claim is exact (the parallel mapping only shifts
-        // which worker's pool warms up, not whether the loop allocates).
-        let mut c = c0.clone();
-        apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, 1, &mut pools);
-        // …after which the panel loop allocates nothing.
-        let before_misses: u64 = pools.pools.iter().map(CachingPool::misses).sum();
-        let mut c = c0.clone();
-        apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, 1, &mut pools);
-        let after_misses: u64 = pools.pools.iter().map(CachingPool::misses).sum();
-        assert_eq!(
-            before_misses, after_misses,
-            "steady state must not allocate"
-        );
-        assert!(pools.hit_rate() > 0.0);
+        let mut pool = crate::workspace::CachingPool::new();
+        for workers in [1usize, 2] {
+            // The first call warms the pool (merge blocks and one panel
+            // scratch per worker)…
+            let mut c = c0.clone();
+            apply_q1_blocked_ws(&factors, &mut c, 8, &mut pool, workers);
+            // …after which the whole apply allocates nothing (a buffer not
+            // handed back would show up here as a miss).
+            let before = pool.misses();
+            let mut again = c0.clone();
+            apply_q1_blocked_ws(&factors, &mut again, 8, &mut pool, workers);
+            assert_eq!(pool.misses(), before, "workers = {workers}: steady state");
+            assert_eq!(c, again, "workers = {workers}: warm pool changed bits");
+        }
+        assert!(pool.hits() > 0);
     }
 }

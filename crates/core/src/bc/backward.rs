@@ -12,52 +12,29 @@
 //! Y_s = [v_0 | v_1 | …]  (block-diagonal), W_s = Y_s · diag(τ)
 //! ```
 //!
-//! with *zero* extra flops. Applying a sweep then costs two GEMMs with
-//! inner dimension = tasks-per-sweep (≈ `n/b`) instead of `n/b` rank-1
-//! updates — the same shape transformation Figures 13/14 perform for the
-//! band-reduction factor.
+//! Applying a sweep then costs two GEMMs with inner dimension =
+//! tasks-per-sweep (≈ `(n−i)/b`) instead of that many rank-1 updates — the
+//! same shape transformation Figures 13/14 perform for the band-reduction
+//! factor.
 //!
-//! A second level ([`apply_q_blocked_merged`]) merges `g` *adjacent sweeps*
-//! with the Algorithm-3 identity (their supports overlap, so this costs
-//! extra flops but widens the GEMMs further).
+//! **This is not free.** `Y_s` is block-diagonal, but the block is stored
+//! and applied densely: each apply multiplies the full
+//! `(n−i) × (n−i)/b` `Y_s` and `W_s`, so a sweep costs ≈`(n−i)/b` times
+//! the flops of its reflectors, and all of `Q₂` costs ≈`4n⁴/(3b)` flops
+//! instead of ≈`2n³`. A structure-aware apply that groups the reflectors of
+//! consecutive sweeps into small compact-WY blocks is the open fix.
 
 use super::{BcReflector, BcResult};
-use crate::workspace::WorkspacePool;
+use crate::backtransform::release_blocks;
+use crate::workspace::{AllocPool, WorkspacePool};
 use tg_blas::{gemm, gemm_into, Op};
-use tg_householder::wblock::{merge_pair, merge_pair_ws, WyPair};
+use tg_householder::wblock::WyPair;
 use tg_matrix::Mat;
 
-/// One sweep's reflectors as an explicit `(offset, W, Y)` block factor.
-///
-/// Returns `None` for empty sweeps.
-pub fn sweep_block(sweep: &[BcReflector]) -> Option<(usize, WyPair)> {
-    let active: Vec<&BcReflector> = sweep.iter().filter(|r| r.tau != 0.0).collect();
-    if active.is_empty() {
-        return None;
-    }
-    let r0 = active.iter().map(|r| r.row0).min().unwrap();
-    let r1 = active.iter().map(|r| r.row0 + r.v.len()).max().unwrap();
-    let rows = r1 - r0;
-    let k = active.len();
-    let mut y = Mat::zeros(rows, k);
-    let mut w = Mat::zeros(rows, k);
-    for (j, r) in active.iter().enumerate() {
-        for (i, &vi) in r.v.iter().enumerate() {
-            let row = r.row0 - r0 + i;
-            y[(row, j)] = vi;
-            w[(row, j)] = r.tau * vi;
-        }
-    }
-    Some((r0, WyPair { w, y }))
-}
-
-/// Pool-backed [`sweep_block`]: the `(W, Y)` storage is pool-acquired
-/// (caller releases). Bitwise-identical under the zero contract — the
-/// block is built by writing entries into zeroed storage either way.
-pub fn sweep_block_ws(
-    sweep: &[BcReflector],
-    pool: &mut dyn WorkspacePool,
-) -> Option<(usize, WyPair)> {
+/// One sweep's reflectors as an explicit `(offset, W, Y)` block factor,
+/// with pool-acquired storage (caller releases). Returns `None` for empty
+/// sweeps.
+fn sweep_block_ws(sweep: &[BcReflector], pool: &mut dyn WorkspacePool) -> Option<(usize, WyPair)> {
     let active: Vec<&BcReflector> = sweep.iter().filter(|r| r.tau != 0.0).collect();
     if active.is_empty() {
         return None;
@@ -96,88 +73,10 @@ impl BcResult {
     /// floating-point reassociation; numerically the results agree to
     /// machine precision.
     pub fn apply_q_left_blocked(&self, c: &mut Mat, trans: bool) {
-        let blocks: Vec<(usize, WyPair)> = self
-            .reflectors
-            .iter()
-            .filter_map(|s| sweep_block(s))
-            .collect();
+        let blocks = self.sweep_blocks_ws(&mut AllocPool);
         apply_blocks(&blocks, c, trans);
+        release_blocks(blocks, &mut AllocPool);
     }
-
-    /// Like [`Self::apply_q_left_blocked`] but first merges groups of
-    /// `group` adjacent sweeps into wider factors (extra flops, wider
-    /// GEMMs — the Figure-13 trade applied to the BC factor).
-    pub fn apply_q_blocked_merged(&self, c: &mut Mat, trans: bool, group: usize) {
-        assert!(group >= 1);
-        let sweeps: Vec<(usize, WyPair)> = self
-            .reflectors
-            .iter()
-            .filter_map(|s| sweep_block(s))
-            .collect();
-        let mut blocks: Vec<(usize, WyPair)> = Vec::new();
-        for chunk in sweeps.chunks(group) {
-            let off0 = chunk.iter().map(|(o, _)| *o).min().unwrap();
-            let end = chunk.iter().map(|(o, f)| o + f.w.nrows()).max().unwrap();
-            let mut merged: Option<WyPair> = None;
-            for (o, f) in chunk {
-                let padded = pad(f, o - off0, end - off0);
-                merged = Some(match merged {
-                    None => padded,
-                    Some(m) => merge_pair(&m, &padded),
-                });
-            }
-            blocks.push((off0, merged.unwrap()));
-        }
-        apply_blocks(&blocks, c, trans);
-    }
-
-    /// Pool-backed [`Self::apply_q_blocked_merged`]: sweep blocks, padding
-    /// and merge scratch all come from `pool` (same arithmetic, so the
-    /// result is bitwise-identical under the zero contract).
-    pub fn apply_q_blocked_merged_ws(
-        &self,
-        c: &mut Mat,
-        trans: bool,
-        group: usize,
-        pool: &mut dyn WorkspacePool,
-    ) {
-        assert!(group >= 1);
-        let sweeps: Vec<(usize, WyPair)> = self.sweep_blocks_ws(pool);
-        let mut blocks: Vec<(usize, WyPair)> = Vec::new();
-        for chunk in sweeps.chunks(group) {
-            let off0 = chunk.iter().map(|(o, _)| *o).min().unwrap();
-            let end = chunk.iter().map(|(o, f)| o + f.w.nrows()).max().unwrap();
-            let mut merged: Option<WyPair> = None;
-            for (o, f) in chunk {
-                let padded = crate::backtransform::pad_top_ws(f, o - off0, end - off0, pool);
-                merged = Some(match merged {
-                    None => padded,
-                    Some(m) => {
-                        let next = merge_pair_ws(&m, &padded, pool);
-                        pool.release(m.w);
-                        pool.release(m.y);
-                        pool.release(padded.w);
-                        pool.release(padded.y);
-                        next
-                    }
-                });
-            }
-            blocks.push((off0, merged.unwrap()));
-        }
-        crate::backtransform::release_blocks(sweeps, pool);
-        apply_blocks(&blocks, c, trans);
-        crate::backtransform::release_blocks(blocks, pool);
-    }
-}
-
-fn pad(f: &WyPair, top: usize, rows: usize) -> WyPair {
-    let k = f.width();
-    let m = f.w.nrows();
-    let mut w = Mat::zeros(rows, k);
-    w.view_mut(top, 0, m, k).copy_from(&f.w.as_ref());
-    let mut y = Mat::zeros(rows, k);
-    y.view_mut(top, 0, m, k).copy_from(&f.y.as_ref());
-    WyPair { w, y }
 }
 
 /// Applies ordered factors (`Q₂ = F₁F₂⋯`, ascending sweep order).
@@ -249,60 +148,6 @@ mod tests {
         res.apply_q_left_blocked(&mut c, false);
         res.apply_q_left_blocked(&mut c, true);
         assert!(max_abs_diff(&c, &c0) < 1e-12);
-    }
-
-    #[test]
-    fn merged_groups_match_for_all_group_sizes() {
-        let (_, res) = setup(24, 3, 5);
-        let c0 = gen::random(24, 6, 6);
-        let mut reference = c0.clone();
-        res.apply_q_left(&mut reference, false);
-        for group in [1usize, 2, 3, 5, 100] {
-            let mut c = c0.clone();
-            res.apply_q_blocked_merged(&mut c, false, group);
-            assert!(
-                max_abs_diff(&reference, &c) < 1e-11,
-                "group = {group}: {}",
-                max_abs_diff(&reference, &c)
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_blocks_ws_is_bitwise_identical() {
-        let (_, res) = setup(20, 3, 11);
-        let mut pool = crate::workspace::AllocPool;
-        let pooled = res.sweep_blocks_ws(&mut pool);
-        let plain: Vec<(usize, super::WyPair)> = res
-            .reflectors
-            .iter()
-            .filter_map(|s| super::sweep_block(s))
-            .collect();
-        assert_eq!(plain.len(), pooled.len());
-        for ((po, pf), (qo, qf)) in plain.iter().zip(&pooled) {
-            assert_eq!(po, qo);
-            assert_eq!(pf.w, qf.w);
-            assert_eq!(pf.y, qf.y);
-        }
-        crate::backtransform::release_blocks(pooled, &mut pool);
-    }
-
-    #[test]
-    fn merged_ws_matches_allocating_merged() {
-        let (_, res) = setup(24, 3, 12);
-        let c0 = gen::random(24, 6, 13);
-        for group in [1usize, 2, 3, 100] {
-            let mut plain = c0.clone();
-            res.apply_q_blocked_merged(&mut plain, false, group);
-            let mut pooled = c0.clone();
-            res.apply_q_blocked_merged_ws(
-                &mut pooled,
-                false,
-                group,
-                &mut crate::workspace::AllocPool,
-            );
-            assert_eq!(plain, pooled, "group = {group}");
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   paper's Algorithm-2 pipelined implementation with atomic progress
 //!   flags,
 //! * [`backtransform`] — assembling `Q` from both stages (conventional
-//!   `ormqr` order, the Figure-13 blocked-`W` scheme, and the pooled
-//!   panel-parallel production path; see `docs/PERFORMANCE.md`),
+//!   `ormqr` order and the Figure-13 blocked-`W` scheme applied over
+//!   pooled, panel-parallel column panels; see `docs/PERFORMANCE.md`),
 //! * [`two_stage`] — end-to-end drivers combining the above.
 
 pub mod backtransform;
@@ -25,11 +25,11 @@ pub mod sytrd;
 pub mod two_stage;
 pub mod workspace;
 
-pub use backtransform::{PanelPools, PANEL_COLS};
+pub use backtransform::PANEL_COLS;
 pub use bc::{bulge_chase_pipelined, bulge_chase_seq, BcResult};
 pub use dbbr::{dbbr, dbbr_ws, DbbrConfig, DbbrConfigError};
 pub use givens_tridiag::givens_tridiagonalize;
 pub use sbr::{band_reduce, BandReduction};
 pub use sytrd::{sytrd_blocked, sytrd_unblocked, SytrdResult};
 pub use two_stage::{tridiagonalize, tridiagonalize_ws, Method, TridiagResult};
-pub use workspace::{AllocPool, CachingPool, WorkspacePool};
+pub use workspace::{AllocPool, CachingPool, PoolStats, WorkspacePool};

@@ -8,9 +8,7 @@
 //! * [`Method::Dbbr`] — the paper's method: double-blocking band reduction
 //!   + pipelined bulge chasing.
 
-use crate::backtransform::{
-    apply_q1, apply_q1_blocked, merge_q1_blocked_ws, release_blocks, PanelPools,
-};
+use crate::backtransform::{apply_blocks_panels, apply_q1, merge_q1_blocked_ws, release_blocks};
 use crate::bc::{bulge_chase_grouped, bulge_chase_pipelined, bulge_chase_seq, BcResult};
 use crate::dbbr::{dbbr_ws, DbbrConfig};
 use crate::sbr::band_reduce;
@@ -102,32 +100,19 @@ impl TridiagResult {
         }
     }
 
-    /// Like [`Self::apply_q`] but uses the blocked back transformations:
-    /// one block reflector per BC sweep (the §8 future-work optimization,
-    /// see [`crate::bc::backward`]) and the Figure-13 blocked `W` for the
-    /// band-reduction factor (two-stage only).
-    pub fn apply_q_blocked(&self, c: &mut Mat, target_k: usize) {
-        match &self.q {
-            QFactors::Direct(_) => self.apply_q(c),
-            QFactors::TwoStage { factors, bc } => {
-                let _span =
-                    tg_trace::span_cat("backtransform", "stage", Some(("n", self.n as u64)));
-                bc.apply_q_left_blocked(c, false);
-                apply_q1_blocked(factors, c, target_k);
-            }
-        }
-    }
-
-    /// The production back transformation (Figure 13 made parallel):
-    /// [`Self::apply_q_blocked`] with every temporary pool-backed and the
-    /// apply partitioned into eigenvector column panels drained by a
-    /// scoped worker pool sized by `tg_blas::threads::worker_threads`.
+    /// The production back transformation (Figure 13 made parallel): one
+    /// block reflector per BC sweep (see [`crate::bc::backward`]) and the
+    /// Figure-13 blocked `W` for the band-reduction factor, every temporary
+    /// drawn from `pool`, and the apply partitioned into eigenvector column
+    /// panels drained by a scoped worker pool sized by
+    /// `tg_blas::threads::worker_threads`. The `Direct` pipeline falls back
+    /// to [`Self::apply_q`].
     ///
     /// The Q₂ sweep blocks and merged width-`target_k` Q₁ blocks are built
     /// **once** from `pool`, shared read-only across all panels, and
-    /// released when the apply finishes. Panel boundaries are fixed
-    /// ([`crate::backtransform::PANEL_COLS`]), so the result is
-    /// bitwise-identical at every thread count; see
+    /// released when the apply finishes, as is each panel worker's scratch.
+    /// Panel boundaries are fixed ([`crate::backtransform::PANEL_COLS`]),
+    /// so the result is bitwise-identical at every thread count; see
     /// [`crate::backtransform::apply_blocks_panels`].
     pub fn apply_q_blocked_ws(&self, c: &mut Mat, target_k: usize, pool: &mut dyn WorkspacePool) {
         // `gemm_threads` is the fan-out budget *right now*: the full
@@ -135,18 +120,11 @@ impl TridiagResult {
         // a parallel region (a batch-scheduler worker) — the same nested-
         // fan-out guard the BLAS kernels use. The worker count never
         // changes the result (fixed panel boundaries), only the schedule.
-        self.apply_q_blocked_ws_with(
-            c,
-            target_k,
-            pool,
-            tg_blas::threads::gemm_threads(),
-            &mut PanelPools::new(),
-        );
+        self.apply_q_blocked_ws_with(c, target_k, pool, tg_blas::threads::gemm_threads());
     }
 
-    /// [`Self::apply_q_blocked_ws`] with an explicit worker count and
-    /// reusable per-worker panel pools — the entry point for the bench
-    /// sweep and the determinism tests, which vary `workers` without
+    /// [`Self::apply_q_blocked_ws`] with an explicit worker count — the
+    /// entry point for the determinism tests, which vary `workers` without
     /// touching `TG_THREADS`.
     pub fn apply_q_blocked_ws_with(
         &self,
@@ -154,7 +132,6 @@ impl TridiagResult {
         target_k: usize,
         pool: &mut dyn WorkspacePool,
         workers: usize,
-        panel_pools: &mut PanelPools,
     ) {
         match &self.q {
             QFactors::Direct(_) => self.apply_q(c),
@@ -166,7 +143,7 @@ impl TridiagResult {
                 // single panel pass applies both stages.
                 let mut blocks = merge_q1_blocked_ws(factors, target_k, pool);
                 blocks.extend(bc.sweep_blocks_ws(pool));
-                crate::backtransform::apply_blocks_panels(&blocks, c, workers, panel_pools);
+                apply_blocks_panels(&blocks, c, workers, pool);
                 release_blocks(blocks, pool);
             }
         }
@@ -387,7 +364,7 @@ mod tests {
         let mut c1 = c0.clone();
         res.apply_q(&mut c1);
         let mut c2 = c0.clone();
-        res.apply_q_blocked(&mut c2, 8);
+        res.apply_q_blocked_ws(&mut c2, 8, &mut AllocPool);
         assert!(tg_matrix::max_abs_diff(&c1, &c2) < 1e-11);
     }
 
@@ -407,7 +384,7 @@ mod tests {
         res.apply_q(&mut reference);
 
         let mut serial = c0.clone();
-        res.apply_q_blocked_ws_with(&mut serial, 12, &mut AllocPool, 1, &mut PanelPools::new());
+        res.apply_q_blocked_ws_with(&mut serial, 12, &mut AllocPool, 1);
         assert!(
             tg_matrix::max_abs_diff(&reference, &serial) < 1e-11,
             "{}",
@@ -415,13 +392,7 @@ mod tests {
         );
         for workers in [2usize, 4, 7] {
             let mut par = c0.clone();
-            res.apply_q_blocked_ws_with(
-                &mut par,
-                12,
-                &mut AllocPool,
-                workers,
-                &mut PanelPools::new(),
-            );
+            res.apply_q_blocked_ws_with(&mut par, 12, &mut AllocPool, workers);
             assert_eq!(serial, par, "workers = {workers}");
         }
     }

@@ -280,7 +280,7 @@ pub fn check_utilization(n: usize, b: usize, s_max: usize) -> Vec<ModelRow> {
 ///   exactly once, none lost or duplicated by the queue.
 pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     use tridiag_core::backtransform::{apply_blocks_panels, merge_q1_blocked_ws, release_blocks};
-    use tridiag_core::{band_reduce, AllocPool, PanelPools, PANEL_COLS};
+    use tridiag_core::{band_reduce, AllocPool, PANEL_COLS};
 
     let mut a = gen::random_symmetric(n, 71);
     let factors = band_reduce(&mut a, b, 8).factors;
@@ -293,10 +293,9 @@ pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     let workers = 2usize;
     let mut c = gen::random(n, n, 72);
     let mut pool = AllocPool;
-    let mut panel_pools = PanelPools::new();
     let t = measure(|| {
         let blocks = merge_q1_blocked_ws(&factors, k, &mut pool);
-        apply_blocks_panels(&blocks, &mut c, workers, &mut panel_pools);
+        apply_blocks_panels(&blocks, &mut c, workers, &mut pool);
         release_blocks(blocks, &mut pool);
     });
     let (lanes, tasks) = t

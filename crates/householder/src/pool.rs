@@ -1,20 +1,17 @@
 //! The workspace-pool trait used by every `_ws` kernel variant.
 //!
-//! The trait was born in `tridiag-core::workspace` (PR 2) next to the
-//! band-reduction kernels that first consumed it, but the blocked back
-//! transformation pushed pooled scratch *below* the core crate: the
-//! [`crate::wblock`] merge/apply kernels need their `S`, `W₂'` and `WᵀC`
-//! intermediates from the pool too, and `tg-householder` sits underneath
-//! `tridiag-core` in the dependency graph. The trait therefore lives here —
-//! the lowest crate that needs it — and `tridiag_core::WorkspacePool`
-//! re-exports it, so existing callers and implementors (`AllocPool`, the
-//! `tg-batch` arena) are unaffected.
+//! The trait lives here, the lowest crate that needs it: the
+//! [`crate::wblock`] merge kernels draw their `S` and merged `W`/`Y`
+//! storage from the pool, and `tg-householder` sits underneath
+//! `tridiag-core` in the dependency graph. `tridiag_core::WorkspacePool`
+//! re-exports it next to its two implementors, `AllocPool` and
+//! `CachingPool`.
 //!
 //! **Determinism contract:** a pool must return buffers that are
-//! *bitwise-zero*, exactly like `Mat::zeros`. Under that contract the
-//! workspace-taking variants perform the identical floating-point
-//! operations as the allocating ones, so their outputs are
-//! bitwise-identical regardless of which pool is used.
+//! *bitwise-zero*, exactly like `Mat::zeros`. Under that contract a
+//! workspace-taking kernel performs the identical floating-point
+//! operations whichever pool supplies its scratch, so its outputs are
+//! bitwise-identical across pools.
 
 use tg_matrix::Mat;
 

@@ -11,20 +11,19 @@
 //!
 //! * [`compute_w_recursive`] is the literal **Algorithm 3** (binary
 //!   recursion down to pairs).
-//! * [`merge_to_width`] is the **Figure 13** production scheme: merge
+//! * [`merge_to_width_ws`] is the **Figure 13** production scheme: merge
 //!   *levels* of pairs with batched GEMMs until each accumulated block
 //!   reaches a target width `k`, then apply the few wide blocks.
 //!
-//! The `_ws` variants ([`merge_pair_ws`], [`merge_to_width_ws`],
-//! [`WyPair::apply_left_ws`]) draw every temporary — the `S = Y₁ᵀW₂` merge
-//! scratch, the concatenated wide `W`/`Y` storage, the `YᵀC` apply
-//! intermediate — from a [`WorkspacePool`] instead of the allocator. Under
-//! the pool's bitwise-zero contract they perform the identical
-//! floating-point operations as the allocating versions. Every merge path
-//! also tallies its arithmetic (4·rows·ka·kb flops per pair: two
-//! `rows × ka × kb` GEMMs) against [`tg_trace::Counter::MergeFlops`], which
-//! the gpu-sim model cross-check reconciles against the Algorithm-3 cost
-//! model.
+//! The merges draw every temporary — the `S = Y₁ᵀW₂` scratch and the
+//! concatenated wide `W`/`Y` storage — from a [`WorkspacePool`]; under the
+//! pool's bitwise-zero contract the merged factors do not depend on which
+//! pool supplied them. The apply takes its `YᵀC` scratch from the caller
+//! ([`WyPair::apply_left_with`]), so a panel worker can reuse one buffer
+//! for every factor. Every merge also tallies its arithmetic
+//! (4·rows·ka·kb flops per pair: two `rows × ka × kb` GEMMs) against
+//! [`tg_trace::Counter::MergeFlops`], which the gpu-sim model cross-check
+//! reconciles against the Algorithm-3 cost model.
 
 use crate::pool::WorkspacePool;
 use tg_blas::batched::{gemm_batched, GemmJob};
@@ -52,24 +51,16 @@ impl WyPair {
 
     /// Applies `I − W Yᵀ` from the **left**: `C ← C − W (Yᵀ C)`.
     pub fn apply_left(&self, c: &mut MatMut<'_>) {
-        let x = gemm_into(1.0, &self.y.as_ref(), Op::Trans, &c.rb(), Op::NoTrans);
-        gemm(
-            -1.0,
-            &self.w.as_ref(),
-            Op::NoTrans,
-            &x.as_ref(),
-            Op::NoTrans,
-            1.0,
-            c,
-        );
+        self.apply_left_with(c, &mut Mat::zeros(self.width(), c.ncols()).as_mut());
     }
 
-    /// Like [`WyPair::apply_left`] but draws the `Yᵀ C` intermediate from
-    /// `pool`. Bitwise-identical to the allocating version for any pool
-    /// honoring the zero contract (the intermediate is consumed with
-    /// `beta = 0`, exactly as `gemm_into` computes it).
-    pub fn apply_left_ws(&self, c: &mut MatMut<'_>, pool: &mut dyn WorkspacePool) {
-        let mut x = pool.acquire(self.y.ncols(), c.ncols());
+    /// [`WyPair::apply_left`] with caller-supplied `width × C.ncols` scratch
+    /// `x` for the `Yᵀ C` intermediate. `x` is zeroed first: `gemm` scales
+    /// its output by `beta = 0` rather than skipping it, so stale (or
+    /// NaN-poisoned) contents would otherwise leak into the product. The
+    /// arithmetic is therefore the same whatever `x` held on entry.
+    pub fn apply_left_with(&self, c: &mut MatMut<'_>, x: &mut MatMut<'_>) {
+        x.fill(0.0);
         gemm(
             1.0,
             &self.y.as_ref(),
@@ -77,18 +68,17 @@ impl WyPair {
             &c.rb(),
             Op::NoTrans,
             0.0,
-            &mut x.as_mut(),
+            x,
         );
         gemm(
             -1.0,
             &self.w.as_ref(),
             Op::NoTrans,
-            &x.as_ref(),
+            &x.rb(),
             Op::NoTrans,
             1.0,
             c,
         );
-        pool.release(x);
     }
 
     /// Applies `I − W Yᵀ` from the **right**: `C ← C − (C W) Yᵀ`.
@@ -124,38 +114,12 @@ impl WyPair {
 
 /// Merges two factors into one:
 /// `(I − W₁Y₁ᵀ)(I − W₂Y₂ᵀ) = I − [W₁ | W₂ − W₁(Y₁ᵀW₂)][Y₁ | Y₂]ᵀ`.
-pub fn merge_pair(a: &WyPair, b: &WyPair) -> WyPair {
-    let n = a.w.nrows();
-    assert_eq!(b.w.nrows(), n);
-    let (ka, kb) = (a.width(), b.width());
-    count_merge(n, ka, kb);
-    // S = Y₁ᵀ W₂  (ka × kb)
-    let s = gemm_into(1.0, &a.y.as_ref(), Op::Trans, &b.w.as_ref(), Op::NoTrans);
-    // W₂' = W₂ − W₁ S
-    let mut w2 = b.w.clone();
-    gemm(
-        -1.0,
-        &a.w.as_ref(),
-        Op::NoTrans,
-        &s.as_ref(),
-        Op::NoTrans,
-        1.0,
-        &mut w2.as_mut(),
-    );
-    let mut w = Mat::zeros(n, ka + kb);
-    w.view_mut(0, 0, n, ka).copy_from(&a.w.as_ref());
-    w.view_mut(0, ka, n, kb).copy_from(&w2.as_ref());
-    let mut y = Mat::zeros(n, ka + kb);
-    y.view_mut(0, 0, n, ka).copy_from(&a.y.as_ref());
-    y.view_mut(0, ka, n, kb).copy_from(&b.y.as_ref());
-    WyPair { w, y }
-}
-
-/// Like [`merge_pair`] but pool-backed: the `S` scratch and the merged
-/// `W`/`Y` storage come from `pool`. The returned pair's matrices are
-/// pool-acquired — the caller releases them (`pool.release(f.w)`,
-/// `pool.release(f.y)`) when the factor is retired. The *inputs* are
-/// borrowed and untouched; releasing them stays the caller's business.
+///
+/// The `S` scratch and the merged `W`/`Y` storage come from `pool`. The
+/// returned pair's matrices are pool-acquired — the caller releases them
+/// (`pool.release(f.w)`, `pool.release(f.y)`) when the factor is retired.
+/// The *inputs* are borrowed and untouched; releasing them stays the
+/// caller's business.
 pub fn merge_pair_ws(a: &WyPair, b: &WyPair, pool: &mut dyn WorkspacePool) -> WyPair {
     let n = a.w.nrows();
     assert_eq!(b.w.nrows(), n);
@@ -197,114 +161,37 @@ pub fn merge_pair_ws(a: &WyPair, b: &WyPair, pool: &mut dyn WorkspacePool) -> Wy
 
 /// **Algorithm 3**: recursively merges an ordered list of factors
 /// (`I − W₁Y₁ᵀ` applied first) into a single `(W, Y)` pair.
-pub fn compute_w_recursive(pairs: &[WyPair]) -> WyPair {
+///
+/// Every merge runs through [`merge_pair_ws`] and intermediate results go
+/// back to `pool` as soon as they are merged away. For two or more factors
+/// the returned pair is pool-acquired; a single factor comes back as a
+/// plain clone.
+pub fn compute_w_recursive(pairs: &[WyPair], pool: &mut dyn WorkspacePool) -> WyPair {
     assert!(!pairs.is_empty());
-    match pairs.len() {
-        1 => pairs[0].clone(),
-        2 => merge_pair(&pairs[0], &pairs[1]),
-        p => {
-            let mid = p / 2;
-            let left = compute_w_recursive(&pairs[..mid]);
-            let right = compute_w_recursive(&pairs[mid..]);
-            merge_pair(&left, &right)
+    if pairs.len() == 1 {
+        return pairs[0].clone();
+    }
+    let mid = pairs.len() / 2;
+    let left = compute_w_recursive(&pairs[..mid], pool);
+    let right = compute_w_recursive(&pairs[mid..], pool);
+    let merged = merge_pair_ws(&left, &right, pool);
+    for (count, half) in [(mid, left), (pairs.len() - mid, right)] {
+        if count > 1 {
+            pool.release(half.w);
+            pool.release(half.y);
         }
     }
+    merged
 }
 
 /// **Figure 13**: merges adjacent pairs level by level — each level is one
 /// batched GEMM wave — stopping once every block's width is ≥ `target_k`
 /// (or only one block remains). Returns the ordered list of wide factors.
-pub fn merge_to_width(mut pairs: Vec<WyPair>, target_k: usize) -> Vec<WyPair> {
-    assert!(!pairs.is_empty());
-    while pairs.len() > 1 && pairs[0].width() < target_k {
-        let mut next = Vec::with_capacity(pairs.len().div_ceil(2));
-        let mut iter = pairs.into_iter();
-        let mut lefts: Vec<WyPair> = Vec::new();
-        let mut rights: Vec<WyPair> = Vec::new();
-        let mut odd: Option<WyPair> = None;
-        loop {
-            match (iter.next(), iter.next()) {
-                (Some(a), Some(b)) => {
-                    lefts.push(a);
-                    rights.push(b);
-                }
-                (Some(a), None) => {
-                    odd = Some(a);
-                    break;
-                }
-                _ => break,
-            }
-        }
-        // The per-level batched GEMM wave: S_i = Y₁ᵢᵀ W₂ᵢ for every pair at
-        // once, then W₂ᵢ ← W₂ᵢ − W₁ᵢ Sᵢ for every pair at once.
-        for (a, b) in lefts.iter().zip(&rights) {
-            count_merge(a.w.nrows(), a.width(), b.width());
-        }
-        let mut s: Vec<Mat> = lefts
-            .iter()
-            .zip(&rights)
-            .map(|(a, b)| Mat::zeros(a.width(), b.width()))
-            .collect();
-        {
-            let jobs = lefts
-                .iter()
-                .zip(&rights)
-                .zip(s.iter_mut())
-                .map(|((a, b), si)| GemmJob {
-                    alpha: 1.0,
-                    a: &a.y,
-                    op_a: Op::Trans,
-                    b: &b.w,
-                    op_b: Op::NoTrans,
-                    beta: 0.0,
-                    c: si,
-                })
-                .collect();
-            gemm_batched(jobs);
-        }
-        {
-            let jobs = lefts
-                .iter()
-                .zip(rights.iter_mut())
-                .zip(s.iter())
-                .map(|((a, b), si)| GemmJob {
-                    alpha: -1.0,
-                    a: &a.w,
-                    op_a: Op::NoTrans,
-                    b: si,
-                    op_b: Op::NoTrans,
-                    beta: 1.0,
-                    c: &mut b.w,
-                })
-                .collect();
-            gemm_batched(jobs);
-        }
-        for (a, b) in lefts.into_iter().zip(rights) {
-            let n = a.w.nrows();
-            let (ka, kb) = (a.width(), b.width());
-            let mut w = Mat::zeros(n, ka + kb);
-            w.view_mut(0, 0, n, ka).copy_from(&a.w.as_ref());
-            w.view_mut(0, ka, n, kb).copy_from(&b.w.as_ref());
-            let mut y = Mat::zeros(n, ka + kb);
-            y.view_mut(0, 0, n, ka).copy_from(&a.y.as_ref());
-            y.view_mut(0, ka, n, kb).copy_from(&b.y.as_ref());
-            next.push(WyPair { w, y });
-        }
-        if let Some(o) = odd {
-            next.push(o);
-        }
-        pairs = next;
-    }
-    pairs
-}
-
-/// Like [`merge_to_width`] but pool-backed. Every input pair's matrices
-/// **must** be pool-acquired (see [`merge_pair_ws`]); consumed pairs are
-/// released as they are merged away, and the returned wide pairs are
-/// pool-acquired for the caller to release. The per-level arithmetic is
-/// the same batched wave as the allocating version, so under the pool's
-/// zero contract the merged factors are bitwise-identical to
-/// [`merge_to_width`]'s.
+///
+/// Every input pair's matrices **must** be pool-acquired (see
+/// [`merge_pair_ws`]); consumed pairs are released as they are merged
+/// away, and the returned wide pairs are pool-acquired for the caller to
+/// release.
 pub fn merge_to_width_ws(
     mut pairs: Vec<WyPair>,
     target_k: usize,
@@ -330,6 +217,8 @@ pub fn merge_to_width_ws(
                 _ => break,
             }
         }
+        // The per-level batched GEMM wave: S_i = Y₁ᵢᵀ W₂ᵢ for every pair at
+        // once, then W₂ᵢ ← W₂ᵢ − W₁ᵢ Sᵢ for every pair at once.
         for (a, b) in lefts.iter().zip(&rights) {
             count_merge(a.w.nrows(), a.width(), b.width());
         }
@@ -402,7 +291,18 @@ pub fn merge_to_width_ws(
 mod tests {
     use super::*;
     use crate::panel::panel_qr;
+    use std::sync::{Mutex, MutexGuard, OnceLock};
     use tg_matrix::{gen, max_abs_diff, orthogonality_residual, Mat};
+
+    /// Trace sessions are process-global: a merge running in a sibling
+    /// test would land in a traced test's `MergeFlops`. Every test here
+    /// that merges holds this lock.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        LOCK.get_or_init(|| Mutex::new(()))
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Random orthogonal factor from a panel QR (width k, order n).
     fn random_factor(n: usize, k: usize, seed: u64) -> WyPair {
@@ -426,12 +326,43 @@ mod tests {
         q
     }
 
+    /// Minimal conforming pool for these tests (the production pools live
+    /// upstack in `tridiag-core`). Counts buffers checked out, so tests can
+    /// assert that the merges hand back everything they take.
+    #[derive(Default)]
+    struct ZeroPool {
+        live: isize,
+    }
+    impl crate::pool::WorkspacePool for ZeroPool {
+        fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
+            self.live += 1;
+            Mat::zeros(rows, cols)
+        }
+        fn release(&mut self, _m: Mat) {
+            self.live -= 1;
+        }
+    }
+
+    /// Copies a factor into pool-acquired storage (the ownership
+    /// [`merge_to_width_ws`] requires of its inputs).
+    fn pooled(f: &WyPair, pool: &mut ZeroPool) -> WyPair {
+        let mut w = pool.acquire(f.w.nrows(), f.width());
+        w.as_mut().copy_from(&f.w.as_ref());
+        let mut y = pool.acquire(f.y.nrows(), f.width());
+        y.as_mut().copy_from(&f.y.as_ref());
+        WyPair { w, y }
+    }
+
     #[test]
     fn merge_pair_preserves_product() {
+        let _g = serial();
         let n = 12;
         let a = random_factor(n, 3, 1);
         let b = random_factor(n, 3, 2);
-        let merged = merge_pair(&a, &b);
+        let mut pool = ZeroPool::default();
+        let merged = merge_pair_ws(&a, &b, &mut pool);
+        // S is released; only the merged W and Y stay checked out.
+        assert_eq!(pool.live, 2);
         let expect = dense_product(&[a, b], n);
         assert!(max_abs_diff(&merged.to_dense(n), &expect) < 1e-12);
         assert!(orthogonality_residual(&merged.to_dense(n)) < 1e-12);
@@ -439,10 +370,14 @@ mod tests {
 
     #[test]
     fn recursive_matches_sequential_products() {
+        let _g = serial();
         let n = 16;
         for p in [1usize, 2, 3, 4, 5, 7] {
             let factors: Vec<WyPair> = (0..p).map(|i| random_factor(n, 2, 10 + i as u64)).collect();
-            let merged = compute_w_recursive(&factors);
+            let mut pool = ZeroPool::default();
+            let merged = compute_w_recursive(&factors, &mut pool);
+            // Intermediates went back; only the result is outstanding.
+            assert_eq!(pool.live, if p > 1 { 2 } else { 0 }, "p = {p}");
             let expect = dense_product(&factors, n);
             assert!(
                 max_abs_diff(&merged.to_dense(n), &expect) < 1e-11,
@@ -454,84 +389,62 @@ mod tests {
 
     #[test]
     fn merge_to_width_stops_at_target() {
+        let _g = serial();
         let n = 20;
         let factors: Vec<WyPair> = (0..8).map(|i| random_factor(n, 2, 30 + i)).collect();
-        let wide = merge_to_width(factors.clone(), 8);
+        let mut pool = ZeroPool::default();
+        let inputs = factors.iter().map(|f| pooled(f, &mut pool)).collect();
+        let wide = merge_to_width_ws(inputs, 8, &mut pool);
         assert_eq!(wide.len(), 2);
         assert!(wide.iter().all(|f| f.width() == 8));
         let expect = dense_product(&factors, n);
         let got = dense_product(&wide, n);
         assert!(max_abs_diff(&got, &expect) < 1e-11);
+        // consumed inputs and every S went back to the pool
+        assert_eq!(pool.live, 2 * wide.len() as isize);
     }
 
     #[test]
     fn merge_to_width_handles_odd_counts() {
+        let _g = serial();
         let n = 14;
         let factors: Vec<WyPair> = (0..5).map(|i| random_factor(n, 2, 50 + i)).collect();
-        let wide = merge_to_width(factors.clone(), 100);
+        let mut pool = ZeroPool::default();
+        let inputs = factors.iter().map(|f| pooled(f, &mut pool)).collect();
+        let wide = merge_to_width_ws(inputs, 100, &mut pool);
         // widths double each level; odd trailing block carried through
         let expect = dense_product(&factors, n);
         let got = dense_product(&wide, n);
         assert!(max_abs_diff(&got, &expect) < 1e-11);
         let total: usize = wide.iter().map(|f| f.width()).sum();
         assert_eq!(total, 10);
-    }
-
-    /// Minimal conforming pool for the `_ws` tests (the production pools
-    /// live upstack in `tridiag-core` / `tg-batch`).
-    struct ZeroPool;
-    impl crate::pool::WorkspacePool for ZeroPool {
-        fn acquire(&mut self, rows: usize, cols: usize) -> Mat {
-            Mat::zeros(rows, cols)
-        }
-        fn release(&mut self, _m: Mat) {}
+        assert_eq!(pool.live, 2 * wide.len() as isize);
     }
 
     #[test]
-    fn merge_pair_ws_is_bitwise_identical() {
-        let n = 12;
-        let a = random_factor(n, 3, 81);
-        let b = random_factor(n, 3, 82);
-        let plain = merge_pair(&a, &b);
-        let pooled = merge_pair_ws(&a, &b, &mut ZeroPool);
-        assert_eq!(plain.w, pooled.w);
-        assert_eq!(plain.y, pooled.y);
-    }
-
-    #[test]
-    fn merge_to_width_ws_is_bitwise_identical() {
-        let n = 20;
-        for p in [3usize, 4, 5, 8] {
-            let factors: Vec<WyPair> = (0..p).map(|i| random_factor(n, 2, 90 + i as u64)).collect();
-            let plain = merge_to_width(factors.clone(), 8);
-            let pooled = merge_to_width_ws(factors, 8, &mut ZeroPool);
-            assert_eq!(plain.len(), pooled.len(), "p = {p}");
-            for (a, b) in plain.iter().zip(&pooled) {
-                assert_eq!(a.w, b.w, "p = {p}");
-                assert_eq!(a.y, b.y, "p = {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn apply_left_ws_is_bitwise_identical() {
+    fn apply_left_with_ignores_stale_scratch() {
         let n = 16;
         let f = random_factor(n, 4, 99);
         let c0 = gen::random(n, 6, 100);
         let mut plain = c0.clone();
         f.apply_left(&mut plain.as_mut());
-        let mut pooled = c0;
-        f.apply_left_ws(&mut pooled.as_mut(), &mut ZeroPool);
-        assert_eq!(plain, pooled);
+        // A wider, NaN-filled buffer: the apply must use only its leading
+        // `width × ncols` view and zero it before the `Yᵀ C` GEMM.
+        let mut scratch = Mat::zeros(7, 9);
+        scratch.fill(f64::NAN);
+        let mut reused = c0;
+        f.apply_left_with(&mut reused.as_mut(), &mut scratch.view_mut(0, 0, 4, 6));
+        assert_eq!(plain, reused);
     }
 
     #[test]
     fn merges_tally_merge_flops() {
+        let _g = serial();
         let n = 12;
         let a = random_factor(n, 3, 110);
         let b = random_factor(n, 2, 111);
         let session = tg_trace::TraceSession::begin();
-        let _ = merge_pair(&a, &b);
+        let _ = merge_pair_ws(&a, &b, &mut ZeroPool::default());
         let trace = session.finish();
         assert_eq!(
             trace.total(tg_trace::Counter::MergeFlops),

@@ -31,14 +31,14 @@
 //! fault fired, results containing non-finite values, solver errors, and
 //! panics — so nothing mid-retry can reach [`EvdCache::insert`].
 //! Fallback-path results are cacheable because the serial reference path
-//! is bitwise-identical to the arena path by contract. A debug verify
+//! is bitwise-identical to the pool path by contract. A debug verify
 //! knob (`ServeConfig::verify_hits` / `TG_CACHE_VERIFY=1`) re-solves on
 //! every hit and asserts bitwise equality.
 //!
 //! # Storage
 //!
-//! A bounded LRU keyed by [`CacheKey`]: per-entry sizes use the arena's
-//! byte math (stored `f64`s × 8, plus fixed bookkeeping), a byte budget
+//! A bounded LRU keyed by [`CacheKey`]: per-entry sizes use the
+//! workspace pool's byte math (stored `f64`s × 8, plus fixed bookkeeping), a byte budget
 //! caps the total, and insertion evicts least-recently-used entries until
 //! the new entry fits. An entry larger than the whole budget is never
 //! stored. Lookups and insertions both refresh recency.
@@ -55,8 +55,8 @@ use tg_matrix::{ContentHasher, Mat};
 pub struct CacheKey {
     /// Digest of the input matrix (shape + every stored byte).
     pub digest: u64,
-    /// Shape class `(n, b, k)` — the same triple the workspace arena keys
-    /// buffers by.
+    /// Shape class `(n, b, k)` — the same triple a worker keeps its
+    /// workspace pool warm for.
     pub class: ShapeClass,
     /// Method variant discriminant (parameters are folded into `digest`).
     pub method_tag: u8,
@@ -115,7 +115,7 @@ impl CacheKey {
     }
 }
 
-/// Bytes a stored result occupies, using the arena's size math (stored
+/// Bytes a stored result occupies, using the workspace pool's size math (stored
 /// `f64`s × 8) plus fixed per-entry bookkeeping (key, stamps, map slot).
 pub fn result_bytes(evd: &Evd) -> u64 {
     let values = evd.eigenvalues.len() as u64;

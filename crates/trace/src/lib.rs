@@ -54,9 +54,11 @@ pub enum Counter {
     Sweeps,
     /// Bulge-chasing tasks executed.
     BulgeTasks,
-    /// Workspace-arena buffer requests served from the cache.
+    /// Workspace-pool buffer requests served from the cache (recorded
+    /// only by `tridiag_core::CachingPool`).
     ArenaHit,
-    /// Workspace-arena buffer requests that had to allocate.
+    /// Workspace-pool buffer requests that had to allocate (recorded only
+    /// by `tridiag_core::CachingPool`).
     ArenaMiss,
     /// Stage-invariant checks executed (`tg-check`).
     ChecksRun,
@@ -68,7 +70,7 @@ pub enum Counter {
     /// separate from [`Counter::BytesRead`]/[`Counter::BytesWritten`] so the
     /// analytic-model cross-check window is unaffected by packing traffic.
     PackBytes,
-    /// Workspace-arena live bytes. Unlike every other counter this is a
+    /// Workspace-pool live bytes. Unlike every other counter this is a
     /// **gauge**: producers call [`gauge_add`]/[`gauge_sub`] as buffers are
     /// acquired and released, and the session total reports the *high-water
     /// mark* (peak simultaneous live bytes), not a sum. Never use [`add`]

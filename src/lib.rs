@@ -45,7 +45,7 @@
 //! | [`tg_eigen`](eigen) | QL iteration, divide & conquer, `syevd` drivers |
 //! | [`tg_gpu_sim`](gpu_sim) | device models, kernel cost models, pipeline + cache simulators, figure regenerators |
 //! | [`tg_svd`](svd) | two-stage bidiagonal reduction + singular values (the Gates et al. SVD analogue) |
-//! | [`tg_batch`](batch) | batched multi-problem EVD: worker-pool scheduler + cached workspace arenas |
+//! | [`tg_batch`](batch) | batched multi-problem EVD: worker-pool scheduler with per-worker caching workspace pools |
 
 pub use tg_batch as batch;
 pub use tg_blas as blas;
@@ -58,7 +58,7 @@ pub use tridiag_core as core;
 
 /// Everything a downstream user typically needs.
 pub mod prelude {
-    pub use tg_batch::{BatchScheduler, WorkspaceArena};
+    pub use tg_batch::BatchScheduler;
     pub use tg_eigen::{
         bisect_evd, jacobi_evd, sbevd::sbevd, stedc, steqr, sterf, sterf_pwk, syevd, syevd_batched,
         Evd, EvdMethod,
@@ -68,6 +68,6 @@ pub mod prelude {
     };
     pub use tridiag_core::{
         band_reduce, bulge_chase_pipelined, bulge_chase_seq, dbbr, givens_tridiagonalize,
-        tridiagonalize, DbbrConfig, Method, TridiagResult,
+        tridiagonalize, CachingPool, DbbrConfig, Method, TridiagResult,
     };
 }

@@ -11,7 +11,7 @@
 //! count) and repeated runs, and pin the blocked path to the conventional
 //! reflector-by-reflector apply within numerical tolerance.
 
-use tridiag_gpu::core::{AllocPool, CachingPool, PanelPools};
+use tridiag_gpu::core::{AllocPool, CachingPool};
 use tridiag_gpu::prelude::*;
 
 fn assert_mat_bitwise(a: &Mat, b: &Mat, ctx: &str) {
@@ -56,22 +56,22 @@ fn blocked_parallel_bitwise_matches_serial_across_worker_counts() {
         let c0 = gen::random(n, n, 12);
 
         let mut serial = c0.clone();
-        red.apply_q_blocked_ws_with(&mut serial, 16, &mut AllocPool, 1, &mut PanelPools::new());
+        red.apply_q_blocked_ws_with(&mut serial, 16, &mut AllocPool, 1);
 
         for &workers in &[2usize, 4, 7] {
-            let mut pools = PanelPools::new();
+            let mut pool = CachingPool::new();
             let mut par = c0.clone();
-            red.apply_q_blocked_ws_with(&mut par, 16, &mut AllocPool, workers, &mut pools);
+            red.apply_q_blocked_ws_with(&mut par, 16, &mut pool, workers);
             assert_mat_bitwise(
                 &serial,
                 &par,
                 &format!("{name} workers={workers} vs serial"),
             );
-            // repeats: different thread interleavings and warm panel
-            // pools, same bits
+            // repeats: different thread interleavings and a warm pool
+            // (recycled merge blocks and panel scratch), same bits
             for rep in 0..2 {
                 let mut again = c0.clone();
-                red.apply_q_blocked_ws_with(&mut again, 16, &mut AllocPool, workers, &mut pools);
+                red.apply_q_blocked_ws_with(&mut again, 16, &mut pool, workers);
                 assert_mat_bitwise(
                     &serial,
                     &again,
@@ -86,26 +86,19 @@ fn blocked_parallel_bitwise_matches_serial_across_worker_counts() {
 fn caching_pool_is_bitwise_equal_to_alloc_pool() {
     // PR-4 workspace contract: pool-acquired buffers are zeroed on reuse,
     // so swapping the allocator never changes a single bit — even when
-    // the caching pool and panel pools are reused across applies.
+    // the caching pool is reused across applies.
     let n = 48;
     for (name, method) in methods() {
         let red = tridiagonalize(&mut gen::random_symmetric(n, 21), &method);
         let c0 = gen::random(n, n, 22);
 
         let mut reference = c0.clone();
-        red.apply_q_blocked_ws_with(
-            &mut reference,
-            16,
-            &mut AllocPool,
-            2,
-            &mut PanelPools::new(),
-        );
+        red.apply_q_blocked_ws_with(&mut reference, 16, &mut AllocPool, 2);
 
         let mut cache = CachingPool::new();
-        let mut pools = PanelPools::new();
         for rep in 0..3 {
             let mut got = c0.clone();
-            red.apply_q_blocked_ws_with(&mut got, 16, &mut cache, 2, &mut pools);
+            red.apply_q_blocked_ws_with(&mut got, 16, &mut cache, 2);
             assert_mat_bitwise(&reference, &got, &format!("{name} caching rep {rep}"));
         }
     }
@@ -125,7 +118,7 @@ fn blocked_path_matches_conventional_apply_within_tolerance() {
         red.apply_q(&mut conventional);
 
         let mut blocked = c0.clone();
-        red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4, &mut PanelPools::new());
+        red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4);
 
         let mut max_diff = 0.0f64;
         for i in 0..n {
@@ -149,6 +142,6 @@ fn direct_method_falls_back_to_reflector_apply() {
     red.apply_q(&mut conventional);
 
     let mut blocked = c0.clone();
-    red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4, &mut PanelPools::new());
+    red.apply_q_blocked_ws_with(&mut blocked, 16, &mut AllocPool, 4);
     assert_mat_bitwise(&conventional, &blocked, "direct fallback");
 }

@@ -1,8 +1,21 @@
 //! Integration tests for the batched EVD subsystem: determinism across
-//! the scheduler, arena behaviour, and observability of the arena
+//! the scheduler, workspace-pool behaviour, and observability of the pool
 //! counters through the `--profile` exporter.
 
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+use tridiag_gpu::eigen::syevd_ws;
 use tridiag_gpu::prelude::*;
+
+/// Trace sessions are process-global: while one test traces, solver work
+/// from sibling tests running in parallel would land in its counters.
+/// Every test in this file runs a solver and holds this lock.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
 
 fn problems(count: usize, n: usize) -> Vec<Mat> {
     (0..count)
@@ -15,6 +28,7 @@ fn problems(count: usize, n: usize) -> Vec<Mat> {
 /// worker counts.
 #[test]
 fn batched_results_bitwise_identical_to_syevd() {
+    let _g = serial();
     let n = 28;
     let probs = problems(8, n);
     let method = EvdMethod::proposed_default(n);
@@ -43,6 +57,7 @@ fn batched_results_bitwise_identical_to_syevd() {
 /// each other too (both are held to the single-problem path).
 #[test]
 fn scheduler_matches_serial_reference() {
+    let _g = serial();
     let n = 20;
     let probs = problems(5, n);
     let method = EvdMethod::proposed_default(n);
@@ -55,10 +70,11 @@ fn scheduler_matches_serial_reference() {
     }
 }
 
-/// Arena hit rate on a uniform-shape batch exceeds 90% and is visible —
+/// Pool hit rate on a uniform-shape batch exceeds 90% and is visible —
 /// with the same numbers — in the `--profile` output.
 #[test]
 fn arena_hit_rate_visible_in_profile_and_above_90_percent() {
+    let _g = serial();
     let n = 32;
     let probs = problems(16, n);
     let method = EvdMethod::proposed_default(n);
@@ -109,10 +125,58 @@ fn arena_hit_rate_visible_in_profile_and_above_90_percent() {
     );
 }
 
-/// Mixed-shape batches stay correct: the per-problem class switch drops
-/// the cache instead of serving wrong-size (or stale) buffers.
+/// With eigenvectors the batch also runs the pooled back transformation
+/// (merged blocks plus per-worker panel scratch). Every one of those
+/// buffers comes from the worker's pool, so the batch stats still equal
+/// the traced counters — at one worker, where the panel apply fans out,
+/// and at two, where it runs serially inside each batch worker.
+#[test]
+fn with_vectors_batch_stats_equal_trace_counters() {
+    let _g = serial();
+    let n = 64;
+    let probs = problems(6, n);
+    let method = EvdMethod::proposed_default(n);
+    for workers in [1usize, 2] {
+        let session = tg_trace::TraceSession::begin();
+        let batch = BatchScheduler::new(workers)
+            .syevd(&probs, &method, true)
+            .unwrap();
+        let trace = session.finish();
+        let stats = batch.stats.arena;
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (
+                trace.total(tg_trace::Counter::ArenaHit),
+                trace.total(tg_trace::Counter::ArenaMiss)
+            ),
+            "{workers} workers: batch stats vs trace (hits, misses)"
+        );
+    }
+}
+
+/// One warm `CachingPool` serves a repeated with-vectors solve entirely
+/// from cache: reduction, merge and panel scratch alike.
+#[test]
+fn warm_pool_with_vectors_solve_never_allocates() {
+    let _g = serial();
+    let n = 64;
+    let a = gen::random_symmetric(n, 7_100);
+    let method = EvdMethod::proposed_default(n);
+    let mut pool = CachingPool::new();
+    let cold = syevd_ws(&mut a.clone(), &method, true, &mut pool).unwrap();
+    let session = tg_trace::TraceSession::begin();
+    let warm = syevd_ws(&mut a.clone(), &method, true, &mut pool).unwrap();
+    let trace = session.finish();
+    assert_eq!(trace.total(tg_trace::Counter::ArenaMiss), 0);
+    assert!(trace.total(tg_trace::Counter::ArenaHit) > 0);
+    assert_eq!(cold.eigenvectors, warm.eigenvectors);
+}
+
+/// Mixed-shape batches stay correct: the per-problem class switch scrubs
+/// the worker's pool instead of serving wrong-size (or stale) buffers.
 #[test]
 fn mixed_shape_batch_is_still_bitwise_correct() {
+    let _g = serial();
     let method = EvdMethod::proposed_default(24);
     let probs: Vec<Mat> = [16usize, 24, 16, 24, 32]
         .iter()
@@ -130,6 +194,7 @@ fn mixed_shape_batch_is_still_bitwise_correct() {
 /// Batched tridiagonalization (not just full EVD) is deterministic too.
 #[test]
 fn batched_tridiagonalize_bitwise() {
+    let _g = serial();
     let n = 24;
     let probs = problems(4, n);
     let method = Method::paper_default(n);

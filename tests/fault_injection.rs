@@ -5,12 +5,11 @@
 //! Check sessions are process-global and mutually exclusive, so these
 //! tests serialize on `CheckSession::begin` automatically.
 
-use tg_batch::{ShapeClass, WorkspaceArena};
 use tg_check::fault::{FaultKind, FaultPlan};
 use tg_check::{CheckConfig, CheckReport, CheckSession};
 use tg_eigen::{syevd, EvdMethod};
 use tg_matrix::gen;
-use tridiag_core::{tridiagonalize, DbbrConfig, Method, WorkspacePool};
+use tridiag_core::{tridiagonalize, CachingPool, DbbrConfig, Method, WorkspacePool};
 
 fn reduce_method() -> Method {
     Method::Dbbr {
@@ -120,12 +119,11 @@ fn workspace_checker_fires_on_skipped_scrub() {
         FaultKind::SkipZero,
         0,
     )));
-    let mut arena = WorkspaceArena::new();
-    arena.begin_problem(ShapeClass { n: 16, b: 4, k: 8 });
-    let mut m = arena.acquire(4, 4);
+    let mut pool = CachingPool::new();
+    let mut m = pool.acquire(4, 4);
     m.fill(2.0);
-    arena.release(m);
-    let _dirty = arena.acquire(4, 4);
+    pool.release(m);
+    let _dirty = pool.acquire(4, 4);
     let report = session.finish();
     assert_caught(&report, "arena.acquire", "workspace_zero");
 }

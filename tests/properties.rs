@@ -83,7 +83,8 @@ proptest! {
     #[test]
     fn wy_merge_grouping_invariant(n in 6usize..20, seed in 0u64..200) {
         use tridiag_gpu::householder::panel::panel_qr;
-        use tridiag_gpu::householder::wblock::{compute_w_recursive, merge_pair, WyPair};
+        use tridiag_gpu::core::AllocPool;
+        use tridiag_gpu::householder::wblock::{compute_w_recursive, merge_pair_ws, WyPair};
         let factor = |s: u64| {
             let mut p = gen::random(n, 2, s);
             let pq = {
@@ -93,8 +94,10 @@ proptest! {
             WyPair { w: pq.block.w(), y: pq.block.v.clone() }
         };
         let f: Vec<WyPair> = (0..4).map(|i| factor(seed * 10 + i)).collect();
-        let left = merge_pair(&merge_pair(&f[0], &f[1]), &merge_pair(&f[2], &f[3]));
-        let rec = compute_w_recursive(&f);
+        // Left fold ((F₁F₂)F₃)F₄ against Algorithm 3's balanced recursion.
+        let pool = &mut AllocPool;
+        let left = f[1..].iter().fold(f[0].clone(), |acc, g| merge_pair_ws(&acc, g, pool));
+        let rec = compute_w_recursive(&f, pool);
         let d1 = left.to_dense(n);
         let d2 = rec.to_dense(n);
         prop_assert!(tridiag_gpu::matrix::max_abs_diff(&d1, &d2) < 1e-10);
