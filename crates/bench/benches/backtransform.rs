@@ -29,20 +29,13 @@ fn bench_bt(c: &mut Criterion) {
         });
     }
 
-    // BC back transformation: per-reflector vs sweep-blocked (§8 extension)
+    // BC back transformation (§8): the reflectors applied in place
     let band = tg_matrix::SymBand::from_dense_lower(&gen::random_symmetric_band(n, b, 3), b);
     let bc = tridiag_core::bulge_chase_seq(&band);
     g.bench_function("bc_reflectors", |bench| {
         bench.iter(|| {
             let mut cm = c0.clone();
-            bc.apply_q_left(&mut cm, false);
-            cm
-        });
-    });
-    g.bench_function("bc_sweep_blocked", |bench| {
-        bench.iter(|| {
-            let mut cm = c0.clone();
-            bc.apply_q_left_blocked(&mut cm, false);
+            bc.apply_q_left(&mut cm.as_mut());
             cm
         });
     });

@@ -16,6 +16,12 @@
 //!   `W`s. [`apply_q1_blocked`] is the same path on one worker with
 //!   [`AllocPool`].
 //!
+//! The two-stage pipelines need `Q C = Q₁ (Q₂ C)`. Each panel worker first
+//! applies the bulge-chasing factor `Q₂` to its panel through
+//! [`BcResult::apply_q_left`], reflector by reflector (≈`2n²` flops per
+//! column), and then the merged `Q₁` blocks. The BC reflectors are never
+//! densified into block reflectors.
+//!
 //! # Why panels split columns, never the factor product
 //!
 //! The factor product `F₁F₂⋯F_p` is ordered — the factors overlap row
@@ -33,6 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::bc::BcResult;
 use crate::workspace::{AllocPool, WorkspacePool};
 use tg_blas::{gemm, gemm_into, Op};
 use tg_householder::wblock::{merge_to_width_ws, WyPair};
@@ -136,7 +143,7 @@ pub fn merge_q1_blocked_ws(
 }
 
 /// Releases every matrix of a pool-acquired block list (the counterpart of
-/// [`merge_q1_blocked_ws`] / `BcResult::sweep_blocks_ws`).
+/// [`merge_q1_blocked_ws`]).
 pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut dyn WorkspacePool) {
     for (_, f) in blocks {
         pool.release(f.w);
@@ -144,11 +151,13 @@ pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut dyn WorkspacePool
     }
 }
 
-/// Applies the ordered block-factor product `F₁F₂⋯F_p` (each entry
-/// `(offset, I − WYᵀ)`) to `C` from the left, partitioned into
-/// [`PANEL_COLS`]-wide column panels drained by `workers` scoped threads.
+/// Applies `F₁F₂⋯F_p · Q₂` to `C` from the left — the ordered block-factor
+/// product (each entry `(offset, I − WYᵀ)`) after the optional
+/// bulge-chasing factor `q2` — partitioned into [`PANEL_COLS`]-wide column
+/// panels drained by `workers` scoped threads.
 ///
-/// The blocks are shared read-only; each panel applies the full product in
+/// The blocks and reflectors are shared read-only; each panel applies
+/// `Q₂` through [`BcResult::apply_q_left`] and then the block product in
 /// reverse order. Each worker owns one `YᵀC` scratch buffer, acquired from
 /// `pool` on the calling thread before the fan-out and released after the
 /// join, sized exactly for the widest block and the widest panel — so the
@@ -160,12 +169,13 @@ pub fn release_blocks(blocks: Vec<(usize, WyPair)>, pool: &mut dyn WorkspacePool
 /// a single worker keeps intra-kernel parallelism.
 pub fn apply_blocks_panels(
     blocks: &[(usize, WyPair)],
+    q2: Option<&BcResult>,
     c: &mut Mat,
     workers: usize,
     pool: &mut dyn WorkspacePool,
 ) {
     let ncols = c.ncols();
-    if blocks.is_empty() || ncols == 0 {
+    if (blocks.is_empty() && q2.is_none()) || ncols == 0 {
         return;
     }
     let n_panels = ncols.div_ceil(PANEL_COLS);
@@ -188,10 +198,10 @@ pub fn apply_blocks_panels(
     if workers == 1 {
         for (idx, panel) in panels.iter_mut().enumerate() {
             let _t = tg_trace::span_cat("backtransform.panel", "task", Some(("panel", idx as u64)));
-            apply_blocks_to_panel(blocks, panel, &mut scratch[0]);
+            apply_to_panel(blocks, q2, panel, &mut scratch[0]);
         }
     } else {
-        apply_panels_parallel(blocks, panels, &mut scratch);
+        apply_panels_parallel(blocks, q2, panels, &mut scratch);
     }
     for x in scratch {
         pool.release(x);
@@ -200,7 +210,12 @@ pub fn apply_blocks_panels(
 
 /// The `workers > 1` arm of [`apply_blocks_panels`]: one scoped thread per
 /// scratch buffer, draining the panel queue through an atomic cursor.
-fn apply_panels_parallel(blocks: &[(usize, WyPair)], panels: Vec<MatMut<'_>>, scratch: &mut [Mat]) {
+fn apply_panels_parallel(
+    blocks: &[(usize, WyPair)],
+    q2: Option<&BcResult>,
+    panels: Vec<MatMut<'_>>,
+    scratch: &mut [Mat],
+) {
     let n_panels = panels.len();
 
     let next = AtomicUsize::new(0);
@@ -241,7 +256,7 @@ fn apply_panels_parallel(blocks: &[(usize, WyPair)], panels: Vec<MatMut<'_>>, sc
                         Some(("panel", i as u64)),
                         region,
                     );
-                    apply_blocks_to_panel(blocks, &mut panel, x);
+                    apply_to_panel(blocks, q2, &mut panel, x);
                 }
             });
         }
@@ -253,11 +268,20 @@ fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One panel's work: the full ordered product, reverse order. Row
-/// sub-ranges are taken per factor so each apply sees exactly the rows the
-/// factor acts on; its `YᵀC` scratch is the leading `width × panel width`
-/// view of the worker's buffer (zeroed by the apply before use).
-fn apply_blocks_to_panel(blocks: &[(usize, WyPair)], panel: &mut MatMut<'_>, scratch: &mut Mat) {
+/// One panel's work: `Q₂` first, then the full ordered block product in
+/// reverse order. Row sub-ranges are taken per factor so each apply sees
+/// exactly the rows the factor acts on; its `YᵀC` scratch is the leading
+/// `width × panel width` view of the worker's buffer (zeroed by the apply
+/// before use).
+fn apply_to_panel(
+    blocks: &[(usize, WyPair)],
+    q2: Option<&BcResult>,
+    panel: &mut MatMut<'_>,
+    scratch: &mut Mat,
+) {
+    if let Some(bc) = q2 {
+        bc.apply_q_left(panel);
+    }
     for (off, f) in blocks.iter().rev() {
         let rows = f.w.nrows();
         let (_, below) = panel.rb_mut().split_at_row(*off);
@@ -281,7 +305,7 @@ pub fn apply_q1_blocked_ws(
     workers: usize,
 ) {
     let merged = merge_q1_blocked_ws(factors, target_k, pool);
-    apply_blocks_panels(&merged, c, workers, pool);
+    apply_blocks_panels(&merged, None, c, workers, pool);
     release_blocks(merged, pool);
 }
 

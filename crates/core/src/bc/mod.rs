@@ -13,8 +13,17 @@
 //!
 //! Both paths produce **bitwise-identical** results: the dependency protocol
 //! makes every task's inputs independent of scheduling.
+//!
+//! # Back transformation
+//!
+//! `Q₂ C` is [`BcResult::apply_q_left`], one reflector at a time on the
+//! rows it spans: ≈`2n²` flops per column of `C`, the `ormtr` count. The
+//! eigenvector-panel workers of
+//! [`crate::backtransform::apply_blocks_panels`] run that same body on
+//! their column panel. Densifying a sweep into one block reflector is not
+//! an option here: its `Y` is `(n−i) × (n−i)/b` and mostly zero, so `Q₂`
+//! would cost ≈`4n⁴/(3b)` flops.
 
-pub mod backward;
 pub mod grouped;
 pub mod kernels;
 pub mod pipeline;
@@ -24,7 +33,7 @@ pub use grouped::bulge_chase_grouped;
 pub use pipeline::bulge_chase_pipelined;
 pub use seq::bulge_chase_seq;
 
-use tg_matrix::{Mat, Tridiagonal};
+use tg_matrix::{Mat, MatMut, Tridiagonal};
 
 /// One Householder reflector generated during bulge chasing, acting on
 /// global rows `row0 .. row0 + v.len()` (with `v[0] == 1`).
@@ -55,46 +64,35 @@ impl BcResult {
         self.reflectors.iter().map(|v| v.len()).sum()
     }
 
-    /// `C ← Q₂ C` (`trans = false`) or `C ← Q₂ᵀ C` (`trans = true`).
+    /// `C ← Q₂ C`: the BC part of the back transformation, mapping
+    /// eigenvectors of `T` to eigenvectors of the band matrix.
     ///
-    /// This is the BC part of the back transformation: eigenvectors of `T`
-    /// become eigenvectors of the band matrix via `Q₂ · V`.
-    pub fn apply_q_left(&self, c: &mut Mat, trans: bool) {
-        let n = c.nrows();
-        let apply = |c: &mut Mat, r: &BcReflector| {
-            if r.tau == 0.0 {
-                return;
+    /// The one body that applies BC reflectors. Each reflector acts on
+    /// `len` rows and is applied where it sits (`Q₂ C = H₁ ⋯ H_N C`,
+    /// reverse order), so all of `Q₂` costs `Σ 4·len·ncols ≈ 2n²·ncols`
+    /// flops. Every column's arithmetic is independent of the others, so
+    /// applying this to column panels of `C` is bitwise-identical to
+    /// applying it to `C` whole.
+    pub fn apply_q_left(&self, c: &mut MatMut<'_>) {
+        let (n, ncols) = (c.nrows(), c.ncols());
+        let mut rows = 0;
+        for r in self.reflectors.iter().flatten() {
+            assert!(r.row0 + r.v.len() <= n);
+            if r.tau != 0.0 {
+                rows += r.v.len();
             }
-            let len = r.v.len();
-            let mut sub = c.view_mut(r.row0, 0, len, c.ncols());
+        }
+        tg_trace::add(tg_trace::Counter::Flops, (4 * rows * ncols) as u64);
+        for r in self.reflectors.iter().rev().flat_map(|s| s.iter().rev()) {
+            let mut sub = c.rb_mut().submatrix_mut(r.row0, 0, r.v.len(), ncols);
             tg_householder::apply_left(r.tau, &r.v[1..], &mut sub);
-        };
-        assert!(self
-            .reflectors
-            .iter()
-            .flatten()
-            .all(|r| r.row0 + r.v.len() <= n));
-        if trans {
-            // Qᵀ C = H_N ⋯ H₁ C: forward order
-            for sweep in &self.reflectors {
-                for r in sweep {
-                    apply(c, r);
-                }
-            }
-        } else {
-            // Q C = H₁ ⋯ H_N C: reverse order
-            for sweep in self.reflectors.iter().rev() {
-                for r in sweep.iter().rev() {
-                    apply(c, r);
-                }
-            }
         }
     }
 
     /// Materializes `Q₂` (test helper, `O(n³)`).
     pub fn form_q(&self, n: usize) -> Mat {
         let mut q = Mat::identity(n);
-        self.apply_q_left(&mut q, false);
+        self.apply_q_left(&mut q.as_mut());
         q
     }
 }

@@ -94,23 +94,24 @@ impl TridiagResult {
                 res.apply_q_left(&mut c.as_mut(), DIRECT_APPLY_NB);
             }
             QFactors::TwoStage { factors, bc } => {
-                bc.apply_q_left(c, false);
+                bc.apply_q_left(&mut c.as_mut());
                 apply_q1(factors, c, false);
             }
         }
     }
 
-    /// The production back transformation (Figure 13 made parallel): one
-    /// block reflector per BC sweep (see [`crate::bc::backward`]) and the
+    /// The production back transformation (Figure 13 made parallel): the
+    /// BC reflectors applied in place ([`BcResult::apply_q_left`]) and the
     /// Figure-13 blocked `W` for the band-reduction factor, every temporary
     /// drawn from `pool`, and the apply partitioned into eigenvector column
     /// panels drained by a scoped worker pool sized by
     /// `tg_blas::threads::worker_threads`. The `Direct` pipeline falls back
     /// to [`Self::apply_q`].
     ///
-    /// The Q₂ sweep blocks and merged width-`target_k` Q₁ blocks are built
-    /// **once** from `pool`, shared read-only across all panels, and
-    /// released when the apply finishes, as is each panel worker's scratch.
+    /// The merged width-`target_k` Q₁ blocks are built **once** from
+    /// `pool`, shared read-only across all panels with the BC reflectors,
+    /// and released when the apply finishes, as is each panel worker's
+    /// scratch.
     /// Panel boundaries are fixed ([`crate::backtransform::PANEL_COLS`]),
     /// so the result is bitwise-identical at every thread count; see
     /// [`crate::backtransform::apply_blocks_panels`].
@@ -138,12 +139,10 @@ impl TridiagResult {
             QFactors::TwoStage { factors, bc } => {
                 let _span =
                     tg_trace::span_cat("backtransform", "stage", Some(("n", self.n as u64)));
-                // Build the full ordered product Q = Q₁ Q₂ as one block
-                // list (Q₁'s merged blocks first — product order), so a
-                // single panel pass applies both stages.
-                let mut blocks = merge_q1_blocked_ws(factors, target_k, pool);
-                blocks.extend(bc.sweep_blocks_ws(pool));
-                apply_blocks_panels(&blocks, c, workers, pool);
+                // One panel pass applies Q = Q₁ Q₂: each panel gets Q₂'s
+                // reflectors, then Q₁'s merged blocks.
+                let blocks = merge_q1_blocked_ws(factors, target_k, pool);
+                apply_blocks_panels(&blocks, Some(bc), c, workers, pool);
                 release_blocks(blocks, pool);
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! When the input is already banded, stage 1 of the two-stage reduction is
 //! free: go straight to bulge chasing, then divide & conquer, then the
-//! (blocked) bulge-chasing back transformation. This is the natural entry
+//! bulge-chasing back transformation. This is the natural entry
 //! point for finite-difference/tight-binding operators, which are banded
 //! by construction.
 
@@ -40,8 +40,8 @@ pub fn sbevd(
         });
     }
     let (eigenvalues, mut v) = stedc(&bc.tri)?;
-    // back transformation: V ← Q₂ V with the sweep-blocked factors
-    bc.apply_q_left_blocked(&mut v, false);
+    // back transformation: V ← Q₂ V
+    bc.apply_q_left(&mut v.as_mut());
     Ok(Evd {
         eigenvalues,
         eigenvectors: Some(v),

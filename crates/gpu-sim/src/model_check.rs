@@ -295,7 +295,7 @@ pub fn check_backtransform(n: usize, b: usize, k: usize) -> Vec<ModelRow> {
     let mut pool = AllocPool;
     let t = measure(|| {
         let blocks = merge_q1_blocked_ws(&factors, k, &mut pool);
-        apply_blocks_panels(&blocks, &mut c, workers, &mut pool);
+        apply_blocks_panels(&blocks, None, &mut c, workers, &mut pool);
         release_blocks(blocks, &mut pool);
     });
     let (lanes, tasks) = t

@@ -11,6 +11,7 @@
 //! count) and repeated runs, and pin the blocked path to the conventional
 //! reflector-by-reflector apply within numerical tolerance.
 
+use tridiag_gpu::core::backtransform::apply_blocks_panels;
 use tridiag_gpu::core::{AllocPool, CachingPool};
 use tridiag_gpu::prelude::*;
 
@@ -128,6 +129,35 @@ fn blocked_path_matches_conventional_apply_within_tolerance() {
         }
         assert!(max_diff < 1e-11, "{name}: max |diff| = {max_diff:e}");
     }
+}
+
+#[test]
+fn panel_q2_apply_is_bitwise_equal_to_whole_matrix_reflector_apply() {
+    // Each panel worker applies the BC reflectors through the same body as
+    // `BcResult::apply_q_left`, whose per-column arithmetic does not depend
+    // on the other columns — so with no Q₁ blocks the panel path must
+    // reproduce the whole-matrix apply bit for bit.
+    let (n, b) = (70, 5); // 70 columns: two full panels and a ragged one
+    let dense = gen::random_symmetric_band(n, b, 51);
+    let bc = bulge_chase_pipelined(&SymBand::from_dense_lower(&dense, b), 2);
+    let c0 = gen::random(n, n, 52);
+
+    let mut whole = c0.clone();
+    bc.apply_q_left(&mut whole.as_mut());
+
+    let mut pool = CachingPool::new();
+    for &workers in &[1usize, 2, 4, 7] {
+        for rep in 0..2 {
+            let mut panels = c0.clone();
+            apply_blocks_panels(&[], Some(&bc), &mut panels, workers, &mut pool);
+            assert_mat_bitwise(
+                &whole,
+                &panels,
+                &format!("workers={workers} rep {rep} vs whole-matrix apply"),
+            );
+        }
+    }
+    assert!(pool.stats().hits > 0, "the pool was never reused");
 }
 
 #[test]

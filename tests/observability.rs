@@ -311,3 +311,30 @@ fn model_vs_measured_within_one_percent() {
     let report = tg_gpu_sim::model_check::report(&rows);
     assert!(!report.contains("MISMATCH"));
 }
+
+/// Complexity regression: the production back transformation is O(n³).
+/// `Q = Q₁Q₂` applied to `n` columns costs ≈4n³ flops (2n³ per factor, the
+/// `ormtr` count); the slack covers the Q₁ merge premium. Densifying the
+/// BC sweeps into block reflectors costs ≈4n⁴/(3b) for Q₂ alone, ≈10× the
+/// budget at this shape.
+#[test]
+fn backtransform_flops_stay_within_twice_the_two_q_count() {
+    let _g = serial();
+    let (n, b) = (256, 8);
+    let method = Method::Dbbr {
+        cfg: DbbrConfig::new(b, 8 * b),
+        parallel_sweeps: 2,
+    };
+    let red = tridiagonalize(&mut gen::random_symmetric(n, 5), &method);
+    let mut v = gen::random(n, n, 6);
+    let k = tg_eigen::syevd::default_backtransform_k(b, n);
+    let session = TraceSession::begin();
+    red.apply_q_blocked_ws_with(&mut v, k, &mut tridiag_core::AllocPool, 2);
+    let flops = session.finish().total(Counter::Flops) as f64;
+    let two_q = 4.0 * (n as f64).powi(3);
+    assert!(
+        flops <= 2.0 * two_q,
+        "back transform traced {flops:.3e} flops = {:.2}× the 4n³ two-Q count",
+        flops / two_q
+    );
+}
